@@ -1,20 +1,20 @@
-"""Experiment ``fleet-vectorised``: lockstep backend vs the object kernel.
+"""Experiment ``fleet-vectorised``: the per-chunk outcome memo vs the object kernel.
 
-The vectorised backend collapses a counters-mode chunk into its
-lockstep classes -- one authoritative object-kernel run per distinct
-``(scenario, enforcement, duration, actions)`` behaviour key, outcome
-columns broadcast to the members with a numpy gather.  This experiment
-measures what that buys at fleet scale: single-worker vehicles/sec for
-every registered scenario through both backends, with the fingerprint
-asserted identical pair by pair.
+``backend="auto"`` gives each chunk an outcome memo: one kernel run
+per distinct ``(scenario, enforcement, duration, actions)`` behaviour
+key among vehicles whose actions are all seed-independent, the cached
+outcome re-stamped onto every later vehicle with that key.  This
+experiment measures what that buys at fleet scale: single-worker
+vehicles/sec for every registered scenario through both backends, with
+the fingerprint asserted identical pair by pair, and the memo hit rate
+(1 - kernel runs / vehicles) read from the session's telemetry.
 
-The chunk is the whole fleet (``chunk_size=vehicles``): lockstep wins
-grow with the number of same-behaviour vehicles per chunk, and the
-point of the backend is to feed it wide chunks.  Scenarios whose
-scripts draw per-vehicle randomness into many distinct behaviour keys
-(or that fall back entirely, like ``fuzz_probe``'s seeded fuzzing) sit
+The chunk is the whole fleet (``chunk_size=vehicles``): the memo lives
+for one chunk, so its wins grow with the number of same-behaviour
+vehicles per chunk.  Scenarios whose scripts draw many distinct
+behaviour keys (or whose vehicles all fuzz, like ``fuzz_probe``) sit
 near 1.0x by design -- the acceptance floor applies to the *best*
-vectorisable scenario, and the JSON report records every ratio so a
+memoisable scenario, and the JSON report records every ratio so a
 regression anywhere is visible.
 """
 
@@ -25,19 +25,23 @@ import time
 
 from repro.api import ExperimentConfig, FleetSession
 from repro.fleet.scenarios import get_scenario, registered_scenarios
-from repro.fleet.vectorised import numpy_available, scenario_backend_eligibility
+from repro.fleet.vectorised import scenario_backend_eligibility
 
 VEHICLES = int(os.environ.get("BENCH_FLEET_VEHICLES", "510"))
 WARMUP_VEHICLES = 8
 SEED = 2018
 
-#: The ISSUE acceptance criterion: the lockstep backend reaches >=3x
-#: single-worker vehicles/sec on at least one registered scenario.
+#: The acceptance criterion: the memo reaches >=3x single-worker
+#: vehicles/sec on at least one registered scenario.
 MIN_BEST_SPEEDUP = 3.0
 
 
 def _measure(scenario: str, backend: str):
-    """Single-worker vehicles/sec with the whole fleet as one chunk."""
+    """Single-worker vehicles/sec with the whole fleet as one chunk.
+
+    Returns ``(result, vehicles/sec, kernel runs)``; kernel runs come
+    from a separate telemetry-on run so the timed run pays no telemetry.
+    """
 
     def config(fleet_size: int, seed: int) -> ExperimentConfig:
         return ExperimentConfig(
@@ -54,47 +58,49 @@ def _measure(scenario: str, backend: str):
         start = time.perf_counter()
         (_, result), = session.run_matrix([config(VEHICLES, SEED)])
         elapsed = time.perf_counter() - start
-    return result, VEHICLES / elapsed
+    with FleetSession(config(VEHICLES, SEED), telemetry=True) as session:
+        session.run()
+        kernel_runs = session.metrics_snapshot().counter("vehicles.simulated")
+    return result, VEHICLES / elapsed, kernel_runs
 
 
 def test_bench_fleet_vectorised(bench_json):
-    """Lockstep reaches >=3x object-kernel vehicles/sec on >=1 scenario."""
-    if not numpy_available():
-        import pytest
-
-        pytest.skip("numpy (repro[fast]) not installed")
-
+    """The memo reaches >=3x object-kernel vehicles/sec on >=1 scenario."""
     report: dict[str, dict] = {}
     best_speedup = 0.0
     best_scenario = None
     for scenario in registered_scenarios():
         eligibility = scenario_backend_eligibility(get_scenario(scenario.name))
-        object_result, object_vps = _measure(scenario.name, "object")
-        vector_result, vector_vps = _measure(scenario.name, "vectorised")
-        assert vector_result.fingerprint() == object_result.fingerprint(), (
-            f"{scenario.name}: vectorised fingerprint diverged from the object kernel"
+        object_result, object_vps, _ = _measure(scenario.name, "object")
+        memo_result, memo_vps, kernel_runs = _measure(scenario.name, "auto")
+        assert memo_result.fingerprint() == object_result.fingerprint(), (
+            f"{scenario.name}: memoised fingerprint diverged from the object kernel"
         )
-        speedup = vector_vps / max(object_vps, 1e-9)
-        if eligibility["vectorisable"] and speedup > best_speedup:
+        speedup = memo_vps / max(object_vps, 1e-9)
+        hit_rate = 1.0 - kernel_runs / VEHICLES
+        if eligibility["memoisable"] and speedup > best_speedup:
             best_speedup, best_scenario = speedup, scenario.name
 
-        tag = "vectorisable" if eligibility["vectorisable"] else "object-only"
+        tag = "memoisable" if eligibility["memoisable"] else "object-only"
         print(f"\n=== {scenario.name} ({VEHICLES} vehicles, 1 worker, {tag}) ===")
         print(f"{'object kernel':16s} {object_vps:9.1f} veh/s   1.00x")
-        print(f"{'vectorised':16s} {vector_vps:9.1f} veh/s   {speedup:.2f}x")
+        print(f"{'auto (memo)':16s} {memo_vps:9.1f} veh/s   {speedup:.2f}x")
+        print(f"memo hit rate {hit_rate:.3f} ({kernel_runs} kernel runs)")
         print(f"fingerprint {object_result.fingerprint()[:16]} (identical)")
 
         report[scenario.name] = {
             "vehicles": VEHICLES,
-            "vectorisable": eligibility["vectorisable"],
+            "memoisable": eligibility["memoisable"],
             "object_vehicles_per_second": round(object_vps, 2),
-            "vectorised_vehicles_per_second": round(vector_vps, 2),
+            "memo_vehicles_per_second": round(memo_vps, 2),
             "speedup": round(speedup, 3),
+            "kernel_runs": kernel_runs,
+            "memo_hit_rate": round(hit_rate, 4),
             "fingerprint": object_result.fingerprint(),
         }
 
     print(
-        f"\nbest vectorisable speedup: {best_speedup:.2f}x on {best_scenario} "
+        f"\nbest memoisable speedup: {best_speedup:.2f}x on {best_scenario} "
         f"(asserted floor {MIN_BEST_SPEEDUP}x)"
     )
     bench_json.record(
@@ -108,6 +114,6 @@ def test_bench_fleet_vectorised(bench_json):
         },
     )
     assert best_speedup >= MIN_BEST_SPEEDUP, (
-        f"best vectorisable speedup {best_speedup:.2f}x on {best_scenario} "
+        f"best memoisable speedup {best_speedup:.2f}x on {best_scenario} "
         f"is below the {MIN_BEST_SPEEDUP}x floor"
     )

@@ -1,18 +1,15 @@
-"""Vectorised backend quickstart: lockstep chunks, parity, telemetry.
+"""Outcome memo quickstart: ``backend="auto"``, parity, telemetry.
 
 Shows the ``backend`` axis of :class:`repro.api.ExperimentConfig` end
-to end: per-scenario eligibility reports, an ``"auto"`` session that
-resolves to the numpy lockstep backend, the telemetry counters that
-expose the lockstep economics (classes per chunk, fallback vehicles),
-and the contract that makes the backend safe to enable -- the fleet
-fingerprint is bit-identical to the object kernel's.
+to end: per-scenario memo eligibility, an ``"auto"`` session whose
+chunks share one kernel run per behaviour key, the telemetry counters
+that expose the memo's economics (distinct keys per chunk, fallback
+vehicles), and the contract that makes the memo safe to enable -- the
+fleet fingerprint is bit-identical to the object kernel's.
 
 Run with::
 
     python examples/vectorised_run.py
-
-Requires the ``repro[fast]`` extra (numpy); without it the script
-explains the fallback instead of simulating.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import ExperimentConfig, FleetSession
 from repro.fleet.scenarios import registered_scenarios
-from repro.fleet.vectorised import numpy_available, scenario_backend_eligibility
+from repro.fleet.vectorised import scenario_backend_eligibility
 
 SCENARIO = "baseline_cruise"
 VEHICLES = 510
@@ -32,28 +29,20 @@ SEED = 2018
 
 
 def main() -> None:
-    # 1. Eligibility is a property of each scenario's action scripts,
-    #    not of what is installed: fuzzing draws per-vehicle seeded
-    #    randomness, so fuzz_probe stays on the object kernel.
-    print("== Backend eligibility per registered scenario ==")
+    # 1. Eligibility is a property of each scenario's action scripts:
+    #    fuzzing draws per-vehicle seeded randomness, so every fuzz_probe
+    #    vehicle runs its own kernel.
+    print("== Memo eligibility per registered scenario ==")
     for scenario in registered_scenarios():
         report = scenario_backend_eligibility(scenario)
-        verdict = "vectorisable" if report["vectorisable"] else "object-only"
+        verdict = "memoisable" if report["memoisable"] else "object-only"
         print(f"{scenario.name:24s} {verdict}")
         if report["reason"]:
             print(f"{'':24s}   {report['reason']}")
     print()
 
-    if not numpy_available():
-        print("numpy (the repro[fast] extra) is not installed.")
-        print("backend='auto' would silently run the object kernel here;")
-        print("backend='vectorised' would raise a ConfigError naming the extra.")
-        return
-
-    # 2. backend="auto" picks the lockstep backend when the regime is
-    #    proven (counters retention, compiled tables, parity gate
-    #    passing).  The whole fleet as one chunk maximises the lockstep
-    #    win: same-behaviour vehicles share one object-kernel run.
+    # 2. backend="auto" turns the memo on.  The whole fleet as one chunk
+    #    maximises its win: same-behaviour vehicles share one kernel run.
     config = ExperimentConfig(
         scenario=SCENARIO,
         vehicles=VEHICLES,
@@ -70,26 +59,25 @@ def main() -> None:
     print(f"vehicles/s  : {result.vehicles_per_second:.1f}")
     print()
 
-    # 3. The lockstep economics, straight from the telemetry registry:
-    #    how many chunks the backend took, how few kernel runs the
-    #    chunk collapsed to, and how many vehicles fell back.
+    # 3. The memo's economics, straight from the telemetry registry:
+    #    how many chunks ran with it, how few kernel runs they collapsed
+    #    to, and how many vehicles had to run their own kernel.
     chunks = snapshot.counter("backend.vectorised.chunks")
     vehicles = snapshot.counter("backend.vectorised.vehicles")
-    classes = snapshot.counter("backend.vectorised.classes")
+    keys = snapshot.counter("backend.vectorised.classes")
     fallbacks = snapshot.counter("backend.fallback_vehicles")
-    print("== Lockstep telemetry ==")
-    print(f"vectorised chunks   : {chunks}")
-    print(f"lockstep vehicles   : {vehicles}")
-    print(f"lockstep classes    : {classes}")
+    print("== Memo telemetry ==")
+    print(f"memo chunks         : {chunks}")
+    print(f"memoisable vehicles : {vehicles}")
+    print(f"behaviour keys      : {keys}")
     print(f"fallback vehicles   : {fallbacks}")
-    if classes:
-        print(f"kernel runs saved   : {vehicles - classes} "
-              f"({vehicles / classes:.1f} vehicles per kernel run)")
+    if keys:
+        print(f"kernel runs saved   : {vehicles - keys} "
+              f"({vehicles / keys:.1f} vehicles per kernel run)")
     print()
 
     # 4. The contract: the object kernel produces the same fingerprint,
-    #    bit for bit.  This is what the registry-wide parity gate (and
-    #    the CI parity suite) assert before 'auto' may pick lockstep.
+    #    bit for bit, as the tier-1 parity suite asserts per scenario.
     with FleetSession(config.with_overrides(backend="object")) as session:
         baseline = session.run()
     assert baseline.fingerprint() == result.fingerprint()

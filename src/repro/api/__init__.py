@@ -14,9 +14,6 @@ Everything a fleet experiment needs comes through three names:
 * ``python -m repro`` (:mod:`repro.api.cli`) -- the same config objects
   driven from the shell, so scripted and interactive runs reproduce the
   same fleet fingerprints.
-
-The legacy :class:`~repro.fleet.runner.FleetRunner` survives as a thin
-deprecation shim over this layer.
 """
 
 from repro.api.config import PRESETS, ConfigError, ExperimentConfig

@@ -161,9 +161,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "chunk execution backend: 'object' runs every vehicle through "
-            "the object kernel, 'vectorised' runs eligible chunks in numpy "
-            "lockstep (requires counters retention, compiled tables and "
-            "numpy), 'auto' picks vectorised when eligible and available -- "
+            "the object kernel, 'auto' lets vehicles of one chunk with the "
+            "same seed-independent behaviour share one kernel run -- "
             "fingerprints are identical across backends"
         ),
     )
@@ -566,9 +565,9 @@ def _cmd_metrics_show(args: argparse.Namespace) -> int:
 
 
 def _scenario_payload(scenario) -> dict:
-    # Backend eligibility is a property of the scenario's scripts (no
-    # vehicle is simulated and numpy is not required), so users can
-    # predict what backend="auto" will do for this workload.
+    # Memo eligibility is a property of the scenario's scripts (no
+    # vehicle is simulated), so users can predict what backend="auto"
+    # will do for this workload.
     from repro.fleet.vectorised import scenario_backend_eligibility
 
     return {
@@ -610,8 +609,11 @@ def _cmd_scenarios_show(args: argparse.Namespace) -> int:
     else:
         print("  (none)")
     eligibility = _scenario_payload(scenario)["backend"]
-    if eligibility["vectorisable"]:
-        print("backend     : vectorisable (backend='auto' runs numpy lockstep)")
+    if eligibility["memoisable"]:
+        print(
+            "backend     : memoisable (backend='auto' shares one kernel run "
+            "per behaviour key in a chunk)"
+        )
     else:
         print("backend     : object-only")
         print(f"  reason: {eligibility['reason']}")

@@ -61,9 +61,9 @@ _OPTIONAL_KEYS = (
     "backend",
 )
 
-#: Valid ``ExperimentConfig.backend`` values: the authoritative object
-#: kernel, the numpy lockstep backend, or runtime auto-selection.
-BACKENDS = ("object", "vectorised", "auto")
+#: Valid ``ExperimentConfig.backend`` values: every vehicle through the
+#: object kernel, or the per-chunk outcome memo on top of it.
+BACKENDS = ("object", "auto")
 
 
 class ConfigError(ValueError):
@@ -71,8 +71,8 @@ class ConfigError(ValueError):
 
     Subclasses :class:`ValueError` so existing ``except ValueError``
     handlers (the CLI's error path included) keep working; raised with
-    actionable messages for config-level failures such as selecting
-    ``backend="vectorised"`` without numpy installed.
+    actionable messages for config-level failures such as an unknown
+    ``backend``.
     """
 
 #: Field overrides applied by :meth:`ExperimentConfig.preset`.
@@ -99,8 +99,7 @@ PRESETS: dict[str, dict[str, object]] = {
         "retry": 2,
         "chunk_timeout_s": 120.0,
         "degrade": True,
-        # Auto-select the vectorised lockstep backend when numpy is
-        # installed and the parity gate passes; object otherwise.
+        # Same-behaviour vehicles in a chunk share one kernel run.
         # Fingerprints are bit-identical either way.
         "backend": "auto",
     },
@@ -186,15 +185,13 @@ class ExperimentConfig:
         Fingerprints are identical along the whole ladder.
     backend:
         Execution backend for chunk simulation.  ``"object"`` (default)
-        runs every vehicle through the authoritative object kernel;
-        ``"vectorised"`` runs eligible chunks in numpy lockstep (see
-        :mod:`repro.fleet.vectorised`) and requires
-        ``trace_level="counters"``, ``compile_tables=True`` and numpy
-        installed (``pip install repro[fast]``) -- selecting it without
-        numpy raises :class:`ConfigError` at session time; ``"auto"``
-        picks vectorised when eligible and available, object otherwise.
-        Fingerprints are bit-identical across backends (enforced by the
-        registry-wide parity gate before vectorised is selectable).
+        runs every vehicle through the object kernel.  ``"auto"`` adds a
+        per-chunk outcome memo: vehicles whose actions are all
+        seed-independent (every kind except ``fuzz``) and share a
+        behaviour key share one kernel run (see
+        :func:`repro.fleet.runner._simulate_specs`).  Valid at every
+        trace level and table mode; fingerprints are bit-identical
+        across backends.
     """
 
     scenario: str
@@ -255,25 +252,15 @@ class ExperimentConfig:
             object.__setattr__(self, "chunk_timeout_s", float(self.chunk_timeout_s))
             if self.chunk_timeout_s <= 0:
                 raise ValueError("chunk_timeout_s must be > 0 or None")
+        if self.backend == "vectorised":
+            raise ConfigError(
+                "backend='vectorised' was replaced by the per-chunk outcome "
+                "memo; use backend='auto'"
+            )
         if self.backend not in BACKENDS:
             raise ConfigError(
                 f"unknown backend {self.backend!r}; known: {BACKENDS}"
             )
-        if self.backend == "vectorised":
-            # The lockstep regime is exactly what the parity gate proves;
-            # "auto" relaxes to the object kernel outside it instead.
-            if self.trace_level is not TraceLevel.COUNTERS:
-                raise ConfigError(
-                    "backend='vectorised' requires trace_level='counters' "
-                    f"(got {self.trace_level.value!r}); use backend='auto' "
-                    "to fall back to the object kernel instead"
-                )
-            if not self.compile_tables:
-                raise ConfigError(
-                    "backend='vectorised' requires compile_tables=True; "
-                    "use backend='auto' to fall back to the object kernel "
-                    "instead"
-                )
 
     # -- derivation -----------------------------------------------------------
 

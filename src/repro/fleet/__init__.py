@@ -15,10 +15,9 @@ thousands of vehicles in one call:
   decorator on a script factory) or for one ``with`` block via
   :func:`temporary_scenario`.
 * :mod:`repro.fleet.runner` -- :func:`simulate_vehicle` (one spec to one
-  outcome) plus the per-process worker plumbing.  The
-  :class:`~repro.fleet.runner.FleetRunner` class is a deprecation shim;
-  orchestrate through :class:`repro.api.FleetSession` with an
-  :class:`repro.api.ExperimentConfig` instead.
+  outcome) plus the per-process worker plumbing, including the
+  per-chunk outcome memo behind ``backend="auto"``.  Orchestrate through
+  :class:`repro.api.FleetSession` with an :class:`repro.api.ExperimentConfig`.
 * :mod:`repro.fleet.transfer` -- columnar :class:`SpecBlock` /
   :class:`OutcomeBlock` codecs and the shared-memory transport that
   moves chunks between parent and workers with only ``(name, size)``
@@ -33,12 +32,9 @@ thousands of vehicles in one call:
   the seeded fault-injection harness (:class:`FaultPlan`).  Chunks are
   pure functions of their specs, so recovery never moves a fingerprint
   bit.
-* :mod:`repro.fleet.vectorised` -- the numpy lockstep backend for
-  counters-mode chunks (``ExperimentConfig(backend="vectorised")`` /
-  ``"auto"``): same-behaviour vehicles share one object-kernel run and
-  their outcome columns broadcast as array ops, guarded by a
-  registry-wide parity gate asserting bit-identical fingerprints
-  against the object kernel.
+* :mod:`repro.fleet.vectorised` -- memo-on chunk entry points, the
+  registry-wide memo-on vs memo-off :func:`parity_gate` and the
+  per-scenario memo eligibility report.
 
 Aggregates are bit-identical for any worker count at the same seed.
 """
@@ -59,16 +55,13 @@ from repro.fleet.results import (
     StreamingFleetAggregator,
     VehicleOutcome,
 )
-from repro.fleet.runner import FleetRunner, VehicleSpec, simulate_vehicle
+from repro.fleet.runner import VehicleSpec, simulate_vehicle
 from repro.fleet.transfer import OutcomeBlock, ShmHandle, SpecBlock
 from repro.fleet.vectorised import (
     BackendParityError,
-    BackendUnavailableError,
-    numpy_available,
     parity_gate,
     scenario_backend_eligibility,
     simulate_specs_vectorised,
-    spec_eligibility,
 )
 from repro.fleet.scenarios import (
     FleetScenario,
@@ -82,7 +75,6 @@ from repro.fleet.scenarios import (
 
 __all__ = [
     "BackendParityError",
-    "BackendUnavailableError",
     "ChunkFailedError",
     "CircuitBreaker",
     "FaultEvent",
@@ -91,7 +83,6 @@ __all__ = [
     "FleetExecutionError",
     "FleetKernel",
     "FleetResult",
-    "FleetRunner",
     "FleetScenario",
     "InjectedFaultError",
     "OutcomeBlock",
@@ -103,14 +94,12 @@ __all__ = [
     "VehicleOutcome",
     "VehicleSpec",
     "get_scenario",
-    "numpy_available",
     "parity_gate",
     "register_scenario",
     "registered_scenarios",
     "scenario_backend_eligibility",
     "simulate_specs_vectorised",
     "simulate_vehicle",
-    "spec_eligibility",
     "temporary_scenario",
     "unregister_scenario",
 ]

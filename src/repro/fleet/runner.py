@@ -7,14 +7,13 @@ acquired warm) through the shared
 :class:`~repro.casestudy.builder.CaseStudyBuilder`, the kernel replays
 the scripted actions, and every outcome field is a pure function of the
 spec.  The module also hosts the per-process worker plumbing (builder
-and car-pool caches, the picklable chunk function) that
+and car-pool caches, the chunk function :func:`_simulate_specs` with its
+per-chunk outcome memo, the picklable worker entry points) that
 :class:`~repro.api.session.FleetSession` drives.
 
 Orchestration lives in :mod:`repro.api`: build an
 :class:`~repro.api.config.ExperimentConfig` and run it through a
-:class:`~repro.api.session.FleetSession`.  The :class:`FleetRunner` here
-is a thin deprecation shim kept for existing callers -- it forwards to a
-session and emits ``DeprecationWarning``.
+:class:`~repro.api.session.FleetSession`.
 
 Worker-count invariance: each vehicle's timeline is a pure function of
 its spec (the kernel replays scripted actions at scripted times with
@@ -26,7 +25,6 @@ seed, which the fleet benchmark asserts.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import replace
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -41,8 +39,8 @@ from repro.core.enforcement import EnforcementConfig
 from repro.core.updates import PolicyUpdateBundle, PolicyUpdateClient
 from repro.fleet.kernel import FleetKernel
 from repro.fleet.resilience import FaultEvent, apply_worker_fault
-from repro.fleet.results import FleetResult, VehicleOutcome
-from repro.fleet.scenarios import FleetScenario, VehicleAction, VehicleSpec, get_scenario
+from repro.fleet.results import VehicleOutcome
+from repro.fleet.scenarios import VehicleAction, VehicleSpec
 from repro.fleet.transfer import (
     OutcomeBlock,
     ShmHandle,
@@ -119,14 +117,18 @@ def _advance_to(kernel: FleetKernel, car: ConnectedCar) -> None:
         car.run(delta)
 
 
-def _do_drive(kernel: FleetKernel, car: ConnectedCar, action: VehicleAction) -> None:
+def _do_drive(
+    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
+) -> None:
     car.sensors.set_pedals(accel=int(action.param("accel", 60)), brake=0)
     car.sensors.set_gear(1)
     car.door_locks.set_motion(True)
     car.sync_enforcement()
 
 
-def _do_park_and_arm(kernel: FleetKernel, car: ConnectedCar, action: VehicleAction) -> None:
+def _do_park_and_arm(
+    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
+) -> None:
     car.park_and_arm()
 
 
@@ -197,7 +199,7 @@ def _do_fuzz(
 
 
 def _do_policy_update(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction
+    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
 ) -> bool:
     """Apply a version-bumped policy through the signed OTA update path.
 
@@ -217,29 +219,40 @@ def _do_policy_update(
     return True
 
 
+#: Scripted action kind -> handler.  Every handler takes
+#: ``(kernel, car, action, tally)``.
+_ACTION_HANDLERS = {
+    "drive": _do_drive,
+    "park_and_arm": _do_park_and_arm,
+    "attack": _do_attack,
+    "targeted_dos": _do_targeted_dos,
+    "flood": _do_flood,
+    "replay": _do_replay,
+    "fuzz": _do_fuzz,
+    "policy_update": _do_policy_update,
+}
+
+#: Action kinds whose replay never draws from the vehicle's seeded RNG
+#: streams.  A timeline made only of these is a pure function of its
+#: behaviour key ``(scenario, enforcement, duration_s, actions)``, so
+#: ``backend="auto"`` lets same-key vehicles in one chunk share a kernel
+#: run.  ``fuzz`` is left out on purpose: it draws its frames from
+#: ``kernel.stream("fuzz")``.  A test runs every kind in
+#: :data:`_ACTION_HANDLERS` under two seeds to keep this set honest.
+SEED_INDEPENDENT_KINDS = frozenset(
+    {"drive", "park_and_arm", "attack", "targeted_dos", "flood", "replay", "policy_update"}
+)
+
+
 def _execute_action(
     kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
 ) -> None:
     """Dispatch one scripted action against the live vehicle."""
     _advance_to(kernel, car)
-    if action.kind == "drive":
-        _do_drive(kernel, car, action)
-    elif action.kind == "park_and_arm":
-        _do_park_and_arm(kernel, car, action)
-    elif action.kind == "attack":
-        _do_attack(kernel, car, action, tally)
-    elif action.kind == "targeted_dos":
-        _do_targeted_dos(kernel, car, action, tally)
-    elif action.kind == "flood":
-        _do_flood(kernel, car, action, tally)
-    elif action.kind == "replay":
-        _do_replay(kernel, car, action, tally)
-    elif action.kind == "fuzz":
-        _do_fuzz(kernel, car, action, tally)
-    elif action.kind == "policy_update":
-        _do_policy_update(kernel, car, action)
-    else:
+    handler = _ACTION_HANDLERS.get(action.kind)
+    if handler is None:
         raise ValueError(f"unknown fleet action kind {action.kind!r}")
+    handler(kernel, car, action, tally)
 
 
 def simulate_vehicle(
@@ -432,24 +445,76 @@ def _drain_chunk_telemetry(registry: MetricsRegistry | None) -> dict | None:
 
 def _simulate_specs(
     specs: Sequence[VehicleSpec],
-    trace_level: str,
-    inbox_limit: int | None,
-    reuse_cars: bool,
-    compile_tables: bool,
+    trace_level: TraceLevel | str = TraceLevel.COUNTERS,
+    inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT,
+    reuse_cars: bool = True,
+    compile_tables: bool = True,
+    memo: bool = False,
+    builder: CaseStudyBuilder | None = None,
+    pool: CarPool | None = None,
 ) -> list[VehicleOutcome]:
-    builder = _process_builder()
-    pool = _process_pool() if reuse_cars else None
-    return [
-        simulate_vehicle(
-            spec,
-            builder,
-            trace_level=trace_level,
-            inbox_limit=inbox_limit,
-            pool=pool,
-            compile_tables=compile_tables,
-        )
-        for spec in specs
-    ]
+    """Simulate one chunk of specs, in order -- every execution path's core.
+
+    With *memo*, a vehicle whose actions are all in
+    :data:`SEED_INDEPENDENT_KINDS` shares one kernel run with every
+    earlier vehicle of the chunk that has the same behaviour key
+    ``(scenario, enforcement, duration_s, actions)``.  A hit is the
+    cached outcome re-stamped with its own ``vehicle_id`` and zeroed
+    ``wall_seconds``/``build_seconds`` (neither is fingerprinted; the
+    first vehicle keeps the measured compute).  Other vehicles, and
+    every vehicle without *memo*, run :func:`simulate_vehicle`.  The
+    memo lives for this call only, so no outcome crosses chunks or runs.
+    """
+    with span("simulate"):
+        if builder is None:
+            builder = _process_builder()
+        if pool is None and reuse_cars:
+            pool = _process_pool()
+
+        def run(spec: VehicleSpec) -> VehicleOutcome:
+            # Looked up as a module global on every call, so wrappers
+            # installed on ``simulate_vehicle`` see each real kernel run.
+            return simulate_vehicle(
+                spec,
+                builder,
+                trace_level=trace_level,
+                inbox_limit=inbox_limit,
+                pool=pool,
+                compile_tables=compile_tables,
+            )
+
+        if not memo:
+            return [run(spec) for spec in specs]
+        cache: dict[tuple, VehicleOutcome] = {}
+        outcomes: list[VehicleOutcome] = []
+        fallbacks = 0
+        for spec in specs:
+            if not all(action.kind in SEED_INDEPENDENT_KINDS for action in spec.actions):
+                fallbacks += 1
+                outcomes.append(run(spec))
+                continue
+            key = (spec.scenario, spec.enforcement, spec.duration_s, spec.actions)
+            cached = cache.get(key)
+            if cached is None:
+                cached = cache[key] = run(spec)
+                outcomes.append(cached)
+            else:
+                outcomes.append(
+                    replace(
+                        cached,
+                        vehicle_id=spec.vehicle_id,
+                        wall_seconds=0.0,
+                        build_seconds=0.0,
+                    )
+                )
+        registry = _obs_metrics.ACTIVE
+        if registry.enabled:
+            registry.inc("backend.vectorised.chunks")
+            registry.inc("backend.vectorised.vehicles", len(outcomes) - fallbacks)
+            registry.inc("backend.vectorised.classes", len(cache))
+            if fallbacks:
+                registry.inc("backend.fallback_vehicles", fallbacks)
+        return outcomes
 
 
 def _simulate_chunk(
@@ -460,32 +525,14 @@ def _simulate_chunk(
     compile_tables: bool = True,
     telemetry: bool = False,
     fault: "FaultEvent | None" = None,
-    backend: str = "object",
+    memo: bool = False,
 ) -> tuple[list[VehicleOutcome], dict | None]:
-    """Simulate one pickled chunk; returns ``(outcomes, metrics snapshot)``.
-
-    ``backend="vectorised"`` routes the chunk through the numpy
-    lockstep backend (imported lazily -- object-backend workers never
-    touch it); the session only ever sends that value after its parity
-    gate passed, and outcomes are bit-identical either way.
-    """
+    """Simulate one pickled chunk; returns ``(outcomes, metrics snapshot)``."""
     apply_worker_fault(fault)
     registry = _begin_chunk_telemetry(telemetry)
-    with span("simulate"):
-        if backend == "vectorised":
-            from repro.fleet.vectorised import simulate_specs_vectorised
-
-            outcomes = simulate_specs_vectorised(
-                specs,
-                trace_level=trace_level,
-                inbox_limit=inbox_limit,
-                reuse_cars=reuse_cars,
-                compile_tables=compile_tables,
-            )
-        else:
-            outcomes = _simulate_specs(
-                specs, trace_level, inbox_limit, reuse_cars, compile_tables
-            )
+    outcomes = _simulate_specs(
+        specs, trace_level, inbox_limit, reuse_cars, compile_tables, memo
+    )
     return outcomes, _drain_chunk_telemetry(registry)
 
 
@@ -515,7 +562,7 @@ def _simulate_chunk_shm(
     compile_tables: bool = True,
     telemetry: bool = False,
     fault: "FaultEvent | None" = None,
-    backend: str = "object",
+    memo: bool = False,
 ) -> tuple[ShmHandle, dict | None]:
     """Worker entry point for shared-memory spec transfer.
 
@@ -533,136 +580,10 @@ def _simulate_chunk_shm(
     apply_worker_fault(fault)
     registry = _begin_chunk_telemetry(telemetry)
     with span("simulate.decode_specs"):
-        block = SpecBlock.from_bytes(read_block(handle, unlink=True))
-        # The vectorised backend decodes selectively from the columns;
-        # only the object path materialises every spec here.
-        specs = None if backend == "vectorised" else block.decode()
-    with span("simulate"):
-        if backend == "vectorised":
-            from repro.fleet.vectorised import simulate_block_vectorised
-
-            outcomes = simulate_block_vectorised(
-                block,
-                trace_level=trace_level,
-                inbox_limit=inbox_limit,
-                reuse_cars=reuse_cars,
-                compile_tables=compile_tables,
-            )
-        else:
-            outcomes = _simulate_specs(
-                specs, trace_level, inbox_limit, reuse_cars, compile_tables
-            )
+        specs = SpecBlock.from_bytes(read_block(handle, unlink=True)).decode()
+    outcomes = _simulate_specs(
+        specs, trace_level, inbox_limit, reuse_cars, compile_tables, memo
+    )
     with span("simulate.encode_outcomes"):
         out_handle = write_block(OutcomeBlock.encode(outcomes).to_bytes())
     return out_handle, _drain_chunk_telemetry(registry)
-
-
-class FleetRunner:
-    """Deprecated: run fleet scenarios through the legacy kwargs surface.
-
-    .. deprecated::
-        Build an :class:`~repro.api.config.ExperimentConfig` and run it
-        through a :class:`~repro.api.session.FleetSession` instead --
-        one config value replaces the six constructor kwargs, round-trips
-        through JSON and drives ``python -m repro`` identically.
-
-    The shim forwards every call to a session, so results (including
-    fleet fingerprints) are bit-identical to both the new surface and
-    the historical runner at any worker count.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        trace_level: TraceLevel | str = TraceLevel.COUNTERS,
-        inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT,
-        reuse_cars: bool = True,
-        compile_tables: bool = True,
-    ) -> None:
-        warnings.warn(
-            "FleetRunner is deprecated; build a repro.api.ExperimentConfig "
-            "and run it through repro.api.FleetSession",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.trace_level = TraceLevel.coerce(trace_level)
-        self.inbox_limit = inbox_limit
-        self.reuse_cars = reuse_cars
-        self.compile_tables = compile_tables
-
-    # -- execution ------------------------------------------------------------
-
-    @staticmethod
-    def _warn_deprecated(name: str) -> None:
-        # stacklevel=3: _warn_deprecated -> public method -> the caller.
-        warnings.warn(
-            f"{name} is deprecated; use repro.api.FleetSession",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def run(
-        self,
-        scenario: FleetScenario | str,
-        vehicles: int,
-        seed: int = 0,
-        first_vehicle_id: int = 0,
-    ) -> FleetResult:
-        """Run *vehicles* instances of *scenario* and aggregate the fleet."""
-        self._warn_deprecated("FleetRunner.run")
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        specs = scenario.vehicle_specs(vehicles, seed, first_vehicle_id=first_vehicle_id)
-        return self._run_specs(specs, scenario.name)
-
-    def run_specs(self, specs: Sequence[VehicleSpec], scenario_name: str) -> FleetResult:
-        """Simulate explicit specs (the path custom workloads use too)."""
-        self._warn_deprecated("FleetRunner.run_specs")
-        return self._run_specs(specs, scenario_name)
-
-    def run_many(
-        self,
-        scenarios: Iterable[FleetScenario | str],
-        vehicles_each: int,
-        seed: int = 0,
-    ) -> dict[str, FleetResult]:
-        """Run several scenarios back to back (one heterogeneous fleet call).
-
-        Vehicle ids are globally unique across the combined fleet so
-        per-scenario results can be merged or compared without clashes.
-        """
-        self._warn_deprecated("FleetRunner.run_many")
-        results: dict[str, FleetResult] = {}
-        next_id = 0
-        for entry in scenarios:
-            scenario = get_scenario(entry) if isinstance(entry, str) else entry
-            specs = scenario.vehicle_specs(
-                vehicles_each, seed, first_vehicle_id=next_id
-            )
-            results[scenario.name] = self._run_specs(specs, scenario.name)
-            next_id += vehicles_each
-        return results
-
-    def _run_specs(self, specs: Sequence[VehicleSpec], scenario_name: str) -> FleetResult:
-        # Imported here so the fleet package has no import-time
-        # dependency on the api layer built on top of it.
-        from repro.api.config import ExperimentConfig
-        from repro.api.session import FleetSession
-
-        config = ExperimentConfig(
-            scenario=scenario_name or "custom",
-            vehicles=max(1, len(specs)),
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            trace_level=self.trace_level,
-            inbox_limit=self.inbox_limit,
-            reuse_cars=self.reuse_cars,
-            compile_tables=self.compile_tables,
-        )
-        with FleetSession(config) as session:
-            return session.run_specs(specs, scenario_name)

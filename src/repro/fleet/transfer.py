@@ -336,8 +336,7 @@ class SpecBlock(_ColumnarBlock):
 
         ``offsets[row] : offsets[row + 1]`` spans row's actions in
         ``action_times`` / ``action_kind_idx`` / ``action_params_idx``;
-        one trailing entry holds the total.  This is how the vectorised
-        backend walks a block's behaviour columns without decoding specs.
+        one trailing entry holds the total.
         """
         offsets = [0] * (len(self) + 1)
         total = 0
@@ -391,8 +390,7 @@ class SpecBlock(_ColumnarBlock):
     def decode_rows(self, rows: Sequence[int]) -> list[VehicleSpec]:
         """Materialise only the requested rows as :class:`VehicleSpec` objects.
 
-        The vectorised backend's selective decode: lockstep class
-        representatives and fallback vehicles get real spec objects,
+        A selective decode: only the given rows become spec objects,
         every other row stays columnar.  Each decoded spec is identical
         to the corresponding entry of :meth:`decode`.
         """

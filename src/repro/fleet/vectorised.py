@@ -1,553 +1,99 @@
-"""Vectorised lockstep backend: whole chunks of counters-mode vehicles as array ops.
+"""Entry points and checks for the ``backend="auto"`` per-chunk outcome memo.
 
-In ``COUNTERS`` retention with compiled decision tables installed, a
-vehicle's deterministic outcome is a pure function of the flat data in
-its :class:`~repro.fleet.scenarios.VehicleSpec` -- and, crucially, of
-only the *behavioural* part of it.  Every scripted action kind except
-``fuzz`` replays without touching the per-vehicle seeded RNG streams
-(``fuzz`` drives :class:`~repro.attacks.fuzzing.FuzzingAttack` from
-``kernel.stream("fuzz")``), so two vehicles with the same ``(scenario,
-enforcement, duration, actions)`` behaviour key produce bit-identical
-deterministic outcome rows whatever their ``vehicle_id`` or ``seed``.
-
-This backend exploits that: a chunk is partitioned into lockstep
-*classes* by behaviour key, one representative per class runs through
-the authoritative object kernel, and every member's outcome columns are
-broadcast from the representative rows with a single numpy gather
-(``rows[member_class]`` -- the (vehicle x field) matrix is materialised
-as typed column arrays, exactly the shape
-:data:`~repro.fleet.results.OUTCOME_COLUMNS` ships over shared memory).
-Homogeneous-in-bands fleets collapse to a handful of kernel runs per
-chunk; the object path stays authoritative, exactly as the compiled
-tables did it.
-
-The backend is gated hard:
-
-* It only engages when retention is ``COUNTERS`` and compiled tables
-  are installed (:func:`simulate_specs_vectorised` refuses otherwise).
-* :func:`parity_gate` must pass before a session may select it: every
-  registered scenario is simulated through both backends and the folded
-  outcome digests must match bit for bit, and the numpy bitmask permit
-  probe (:func:`permit_mask_probe`) must agree with
-  :meth:`~repro.core.compiled.CompiledDecisionTable.may_read` /
-  ``may_write`` over the whole standard identifier space.
-* Vehicles outside the vectorisable subset (``fuzz`` actions, unknown
-  kinds) transparently fall back per-vehicle to the object kernel
-  inside the same chunk -- mixed chunks stay outcome-exact.
-
-numpy is an optional extra (``pip install repro[fast]``); this module
-imports without it and reports availability via
-:func:`numpy_available` so config validation can raise a clear error
-instead of an ``ImportError`` mid-run.
+The memo itself lives in :func:`repro.fleet.runner._simulate_specs`,
+the one chunk function every execution path calls.  This module keeps
+the names built around it: chunk entry points with the memo on, the
+registry-wide parity check and the per-scenario eligibility report.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-from typing import Callable, Iterable, Sequence
+import importlib.util
+from typing import Iterable
 
-from repro.can.trace import TraceLevel
-from repro.core.compiled import (
-    ID_SPACE,
-    CompiledDecisionTable,
-    build_mask,
-)
-from repro.core.seeding import derive_seed
+from repro.fleet import runner
 from repro.fleet.results import VehicleOutcome
-from repro.fleet.runner import (
-    DEFAULT_FLEET_INBOX_LIMIT,
-    _process_builder,
-    _process_pool,
-    simulate_vehicle,
-)
+from repro.fleet.runner import SEED_INDEPENDENT_KINDS
 from repro.fleet.scenarios import FleetScenario, VehicleSpec, registered_scenarios
 from repro.fleet.transfer import SpecBlock
-from repro.obs import metrics as _obs_metrics
-from repro.obs.spans import span
-
-try:  # pragma: no cover - exercised via numpy_available() in both states
-    import numpy as _np
-except ImportError:  # pragma: no cover - the [fast] extra is optional
-    _np = None
-
-#: Action kinds whose deterministic outcome is seed-independent: the
-#: whole timeline replays from the spec's behavioural data alone, so
-#: same-behaviour vehicles may share one kernel run.  ``fuzz`` is the
-#: deliberate exception -- it draws frames from the per-vehicle seeded
-#: ``"fuzz"`` stream, so each fuzzing vehicle must run its own kernel.
-VECTORISABLE_KINDS = frozenset(
-    {"drive", "park_and_arm", "attack", "targeted_dos", "flood", "replay", "policy_update"}
-)
-
-#: Outcome columns broadcast as unsigned counters (numpy int64 gather).
-_COUNT_FIELDS = (
-    "frames_transmitted",
-    "frames_delivered",
-    "frames_blocked",
-    "hpe_decisions",
-    "policy_pushes",
-    "attacks_attempted",
-    "attacks_mitigated",
-)
-
-#: Outcome columns broadcast as IEEE-754 doubles (exact gather).
-_FLOAT_FIELDS = ("simulated_seconds", "mean_decision_latency_s")
-
-
-class BackendUnavailableError(RuntimeError):
-    """The vectorised backend cannot run here (numpy is not installed)."""
 
 
 class BackendParityError(RuntimeError):
-    """The registry-wide parity gate found a divergence from the object kernel."""
+    """Memo-on outcomes diverged from memo-off outcomes."""
 
 
 def numpy_available() -> bool:
-    """Whether the optional numpy dependency (``repro[fast]``) is importable."""
-    return _np is not None
+    """Whether numpy is importable.
 
-
-def _require_numpy():
-    if _np is None:
-        raise BackendUnavailableError(
-            "the vectorised backend requires numpy; install the optional "
-            "extra (pip install repro[fast]) or use backend='object'"
-        )
-    return _np
-
-
-# ---------------------------------------------------------------------------
-# Eligibility
-# ---------------------------------------------------------------------------
-
-
-def spec_eligibility(spec: VehicleSpec) -> tuple[bool, str | None]:
-    """Whether one spec may join a lockstep class, with the reason if not."""
-    for action in spec.actions:
-        if action.kind not in VECTORISABLE_KINDS:
-            return False, ineligible_kind_reason(action.kind)
-    return True, None
-
-
-def ineligible_kind_reason(kind: str) -> str:
-    """Why an action kind keeps a vehicle on the object kernel."""
-    if kind == "fuzz":
-        return (
-            "action kind 'fuzz' draws from the per-vehicle seeded RNG "
-            "stream, so its outcome is not shared across a lockstep class"
-        )
-    return f"action kind {kind!r} is outside the vectorisable subset"
+    Nothing in ``repro`` uses numpy; this is kept only for the
+    benchmark's setup hook, which checks it before :func:`parity_gate`.
+    """
+    return importlib.util.find_spec("numpy") is not None
 
 
 def scenario_backend_eligibility(
     scenario: FleetScenario, sample_vehicles: int = 8, seed: int = 0
 ) -> dict:
-    """Predict ``backend="auto"`` behaviour for one scenario.
+    """Predict what ``backend="auto"`` does for one scenario.
 
-    Samples a few materialised specs (spec generation is deterministic
-    and cheap -- no vehicle is simulated) and reports whether they all
-    fall inside the vectorisable subset, naming the disqualifying action
-    kind otherwise.  Works without numpy: eligibility is a property of
-    the scenario's scripts, not of what is installed.
+    Samples a few specs (no vehicle is simulated) and reports whether
+    all their action kinds are seed-independent, naming the first
+    seed-dependent kind otherwise.
     """
-    kinds: set[str] = set()
-    for spec in scenario.iter_vehicle_specs(sample_vehicles, seed):
-        for action in spec.actions:
-            kinds.add(action.kind)
-    blocked = sorted(kind for kind in kinds if kind not in VECTORISABLE_KINDS)
+    kinds = {
+        action.kind
+        for spec in scenario.iter_vehicle_specs(sample_vehicles, seed)
+        for action in spec.actions
+    }
+    blocked = sorted(kinds - SEED_INDEPENDENT_KINDS)
+    reason = None
+    if blocked:
+        reason = (
+            f"action kind {blocked[0]!r} is seed-dependent, so each such "
+            "vehicle runs its own kernel"
+        )
     return {
-        "vectorisable": not blocked,
-        "reason": ineligible_kind_reason(blocked[0]) if blocked else None,
+        "memoisable": not blocked,
+        "reason": reason,
         "action_kinds": sorted(kinds),
         "sampled_vehicles": sample_vehicles,
     }
 
 
-# ---------------------------------------------------------------------------
-# Compiled-table bitmask probes
-# ---------------------------------------------------------------------------
+def simulate_specs_vectorised(specs: Iterable[VehicleSpec], **options) -> list[VehicleOutcome]:
+    """Simulate one chunk of specs with the memo on.
 
-
-def permit_mask_probe(mask: bytes | memoryview, can_ids) -> "object":
-    """Probe a compiled 256-byte bitset for many identifiers at once.
-
-    The numpy form of the table's single-bit permit check
-    (``mask[id >> 3] >> (id & 7) & 1``): the mask is viewed zero-copy
-    via ``frombuffer`` and probed for the whole ``can_ids`` array in one
-    vectorised expression.  Standard-range identifiers only; extended
-    ids live in the table's overflow frozensets.
+    *options* are :func:`repro.fleet.runner._simulate_specs` keywords.
     """
-    np = _require_numpy()
-    bits = np.frombuffer(mask, dtype=np.uint8)
-    ids = np.asarray(can_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= ID_SPACE):
-        raise ValueError(f"identifiers outside the standard space [0, {ID_SPACE})")
-    return (bits[ids >> 3] >> (ids & 7) & 1).astype(bool)
+    return runner._simulate_specs(list(specs), memo=True, **options)
 
 
-def table_permits(
-    table: CompiledDecisionTable, can_ids, direction: str = "read"
-) -> "object":
-    """Vectorised :meth:`may_read`/:meth:`may_write` over an id array."""
-    read_view, write_view = table.bitset_buffers()
-    if direction == "read":
-        return permit_mask_probe(read_view, can_ids)
-    if direction == "write":
-        return permit_mask_probe(write_view, can_ids)
-    raise ValueError(f"unknown probe direction {direction!r}")
-
-
-# ---------------------------------------------------------------------------
-# Lockstep simulation
-# ---------------------------------------------------------------------------
-
-
-class _LockstepPlan:
-    """A chunk partitioned into lockstep classes plus per-vehicle fallbacks."""
-
-    __slots__ = ("size", "class_reps", "member_positions", "member_class", "fallback_positions")
-
-    def __init__(self, size: int, eligible: Callable[[int], bool], key_of: Callable[[int], object]):
-        self.size = size
-        self.class_reps: list[int] = []  # chunk position of each class representative
-        self.member_positions: list[int] = []
-        self.member_class: list[int] = []
-        self.fallback_positions: list[int] = []
-        class_of: dict[object, int] = {}
-        for position in range(size):
-            if not eligible(position):
-                self.fallback_positions.append(position)
-                continue
-            key = key_of(position)
-            row = class_of.get(key)
-            if row is None:
-                row = class_of[key] = len(self.class_reps)
-                self.class_reps.append(position)
-            self.member_positions.append(position)
-            self.member_class.append(row)
-
-
-def _emit_telemetry(plan: _LockstepPlan) -> None:
-    registry = _obs_metrics.ACTIVE
-    if registry.enabled:
-        registry.inc("backend.vectorised.chunks")
-        registry.inc("backend.vectorised.vehicles", len(plan.member_positions))
-        registry.inc("backend.vectorised.classes", len(plan.class_reps))
-        if plan.fallback_positions:
-            registry.inc("backend.fallback_vehicles", len(plan.fallback_positions))
-
-
-def _check_lockstep_preconditions(trace_level, compile_tables: bool) -> str:
-    """The hard gate: lockstep only ever runs in its proven regime."""
-    level = TraceLevel.coerce(trace_level)
-    if level is not TraceLevel.COUNTERS:
-        raise ValueError(
-            "the vectorised backend requires trace_level='counters' "
-            f"(got {level.value!r}); counter retention is the regime the "
-            "parity gate proves"
-        )
-    if not compile_tables:
-        raise ValueError(
-            "the vectorised backend requires compile_tables=True; its "
-            "permit probes are bitmask reads against compiled tables"
-        )
-    return level.value
-
-
-def _broadcast_outcomes(
-    plan: _LockstepPlan,
-    rep_outcomes: Sequence[VehicleOutcome],
-    fallback_outcomes: dict[int, VehicleOutcome],
-    identity_of: Callable[[int], tuple[int, str, str]],
-) -> list[VehicleOutcome]:
-    """Gather representative outcome rows onto every class member.
-
-    One numpy fancy-index per column family turns the per-class rows
-    into per-vehicle columns; members get their own identity triple
-    (vehicle id, scenario, enforcement) from *identity_of* and zeroed
-    wall/build timings (both excluded from the fingerprint -- the real
-    compute is the representatives', which keep their measured values).
-    """
-    np = _np
-    gather = np.asarray(plan.member_class, dtype=np.intp)
-    counts = {
-        name: np.asarray([getattr(o, name) for o in rep_outcomes], dtype=np.int64)[gather]
-        for name in _COUNT_FIELDS
-    }
-    floats = {
-        name: np.asarray([getattr(o, name) for o in rep_outcomes], dtype=np.float64)[gather]
-        for name in _FLOAT_FIELDS
-    }
-    healthy = np.asarray([o.healthy for o in rep_outcomes], dtype=bool)[gather]
-
-    outcomes: list[VehicleOutcome | None] = [None] * plan.size
-    for position, outcome in fallback_outcomes.items():
-        outcomes[position] = outcome
-    rep_at = {position: rep_outcomes[row] for row, position in enumerate(plan.class_reps)}
-    for member, position in enumerate(plan.member_positions):
-        representative = rep_at.get(position)
-        if representative is not None:
-            outcomes[position] = representative
-            continue
-        vehicle_id, scenario, enforcement = identity_of(position)
-        outcomes[position] = VehicleOutcome(
-            vehicle_id=vehicle_id,
-            scenario=scenario,
-            enforcement=enforcement,
-            simulated_seconds=float(floats["simulated_seconds"][member]),
-            frames_transmitted=int(counts["frames_transmitted"][member]),
-            frames_delivered=int(counts["frames_delivered"][member]),
-            frames_blocked=int(counts["frames_blocked"][member]),
-            hpe_decisions=int(counts["hpe_decisions"][member]),
-            policy_pushes=int(counts["policy_pushes"][member]),
-            attacks_attempted=int(counts["attacks_attempted"][member]),
-            attacks_mitigated=int(counts["attacks_mitigated"][member]),
-            mean_decision_latency_s=float(floats["mean_decision_latency_s"][member]),
-            healthy=bool(healthy[member]),
-            wall_seconds=0.0,
-            build_seconds=0.0,
-        )
-    return outcomes  # type: ignore[return-value]
-
-
-def simulate_specs_vectorised(
-    specs: Iterable[VehicleSpec],
-    trace_level: TraceLevel | str = TraceLevel.COUNTERS,
-    inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT,
-    reuse_cars: bool = True,
-    compile_tables: bool = True,
-    builder=None,
-    pool=None,
-) -> list[VehicleOutcome]:
-    """Simulate a chunk of specs through the lockstep backend.
-
-    Outcome-exact with the object kernel: every deterministic field of
-    every returned outcome equals what
-    :func:`~repro.fleet.runner.simulate_vehicle` would produce for the
-    same spec (the parity gate and hypothesis suite assert exactly
-    this).  Ineligible specs fall back per-vehicle inside the chunk.
-    """
-    np = _require_numpy()  # noqa: F841 - fail fast before any simulation
-    level = _check_lockstep_preconditions(trace_level, compile_tables)
-    specs = list(specs)
-    with span("simulate.vectorised"):
-        if builder is None:
-            builder = _process_builder()
-        if pool is None and reuse_cars:
-            pool = _process_pool()
-
-        def eligible(position: int) -> bool:
-            return spec_eligibility(specs[position])[0]
-
-        def key_of(position: int):
-            spec = specs[position]
-            return (spec.scenario, spec.enforcement, spec.duration_s, spec.actions)
-
-        plan = _LockstepPlan(len(specs), eligible, key_of)
-        _emit_telemetry(plan)
-
-        def run(position: int) -> VehicleOutcome:
-            return simulate_vehicle(
-                specs[position],
-                builder,
-                trace_level=level,
-                inbox_limit=inbox_limit,
-                pool=pool,
-                compile_tables=compile_tables,
-            )
-
-        rep_outcomes = [run(position) for position in plan.class_reps]
-        fallback_outcomes = {position: run(position) for position in plan.fallback_positions}
-
-        def identity_of(position: int) -> tuple[int, str, str]:
-            spec = specs[position]
-            return spec.vehicle_id, spec.scenario, spec.enforcement
-
-        return _broadcast_outcomes(plan, rep_outcomes, fallback_outcomes, identity_of)
-
-
-def simulate_block_vectorised(
-    block: SpecBlock,
-    trace_level: TraceLevel | str = TraceLevel.COUNTERS,
-    inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT,
-    reuse_cars: bool = True,
-    compile_tables: bool = True,
-) -> list[VehicleOutcome]:
-    """Lockstep-simulate a columnar :class:`SpecBlock` without full decode.
-
-    The shm fast path: behaviour keys are read straight off the block's
-    interned index columns (equal indices imply equal decoded values --
-    interning is injective per block), so only class representatives and
-    fallback rows are ever materialised as :class:`VehicleSpec` objects.
-    Distinct values that happen to intern separately merely split a
-    class: a perf detail, never a correctness one.
-    """
-    _require_numpy()
-    level = _check_lockstep_preconditions(trace_level, compile_tables)
-    with span("simulate.vectorised"):
-        builder = _process_builder()
-        pool = _process_pool() if reuse_cars else None
-        offsets = block.action_offsets()
-        kind_ok: dict[int, bool] = {}
-
-        def eligible(row: int) -> bool:
-            for i in range(offsets[row], offsets[row + 1]):
-                index = block.action_kind_idx[i]
-                ok = kind_ok.get(index)
-                if ok is None:
-                    ok = kind_ok[index] = block._table_str(index) in VECTORISABLE_KINDS
-                if not ok:
-                    return False
-            return True
-
-        def key_of(row: int):
-            return (
-                block.scenario_idx[row],
-                block.enforcement_idx[row],
-                block.durations[row],
-                tuple(
-                    (
-                        block.action_times[i],
-                        block.action_kind_idx[i],
-                        block.action_params_idx[i],
-                    )
-                    for i in range(offsets[row], offsets[row + 1])
-                ),
-            )
-
-        plan = _LockstepPlan(len(block), eligible, key_of)
-        _emit_telemetry(plan)
-        decode_rows = sorted(set(plan.class_reps) | set(plan.fallback_positions))
-        decoded = dict(zip(decode_rows, block.decode_rows(decode_rows)))
-
-        def run(row: int) -> VehicleOutcome:
-            return simulate_vehicle(
-                decoded[row],
-                builder,
-                trace_level=level,
-                inbox_limit=inbox_limit,
-                pool=pool,
-                compile_tables=compile_tables,
-            )
-
-        rep_outcomes = [run(row) for row in plan.class_reps]
-        fallback_outcomes = {row: run(row) for row in plan.fallback_positions}
-
-        def identity_of(row: int) -> tuple[int, str, str]:
-            return (
-                block._column_value("vehicle_ids", row),
-                block._table_str(block.scenario_idx[row]),
-                block._table_str(block.enforcement_idx[row]),
-            )
-
-        return _broadcast_outcomes(plan, rep_outcomes, fallback_outcomes, identity_of)
-
-
-# ---------------------------------------------------------------------------
-# Registry-wide parity gate
-# ---------------------------------------------------------------------------
-
-#: Vehicles per scenario the gate simulates through both backends.
-_GATE_VEHICLES = 6
-
-#: Fleet seed the gate materialises its probe fleets from.
-_GATE_SEED = 2018
-
-#: Per-registry-state gate verdicts: ``None`` = passed, else the failure
-#: message.  Keyed on every registered scenario's identity so a registry
-#: change (new or replaced scenario) re-runs the gate.
-_GATE_CACHE: dict[tuple, str | None] = {}
-
-
-def _registry_key() -> tuple:
-    return tuple(
-        (
-            scenario.name,
-            repr(scenario.duration_s),
-            scenario.mix,
-            scenario.parameters,
-            id(scenario.script),
-        )
-        for scenario in registered_scenarios()
-    )
+def simulate_block_vectorised(block: SpecBlock, **options) -> list[VehicleOutcome]:
+    """Simulate one columnar :class:`SpecBlock` chunk with the memo on."""
+    return runner._simulate_specs(block.decode(), memo=True, **options)
 
 
 def _outcome_digest(outcomes: Iterable[VehicleOutcome]) -> str:
-    """The same fold the fleet fingerprint uses, over a list in id order."""
+    """The fleet fingerprint's fold, over outcomes in vehicle-id order."""
     digest = hashlib.sha256()
     for outcome in sorted(outcomes, key=lambda o: o.vehicle_id):
         digest.update(repr(outcome.deterministic_tuple()).encode())
     return digest.hexdigest()
 
 
-def _probe_parity_trials() -> None:
-    """Assert the numpy bitmask probe agrees with the object table probes.
+def parity_gate(vehicles: int = 6, seed: int = 2018) -> None:
+    """Raise :class:`BackendParityError` unless memo on equals memo off.
 
-    Sweeps the whole standard identifier space against tables built from
-    seeded random id sets -- the compiled-bitset buffer view is load
-    bearing for the gate, not decorative.
+    Simulates *vehicles* of every registered scenario at *seed* both
+    ways and compares outcome digests.  Nothing is cached.
     """
-    np = _np
-    rng = random.Random(derive_seed(_GATE_SEED, "vectorised/probe-gate"))
-    all_ids = np.arange(ID_SPACE, dtype=np.int64)
-    for trial in range(4):
-        read_ids = frozenset(rng.sample(range(ID_SPACE), k=rng.randint(0, 96)))
-        write_ids = frozenset(rng.sample(range(ID_SPACE), k=rng.randint(0, 96)))
-        table = CompiledDecisionTable(
-            node=f"gate-{trial}",
-            read_mask=build_mask(read_ids),
-            write_mask=build_mask(write_ids),
-        )
-        for direction in ("read", "write"):
-            probe = getattr(table, f"may_{direction}")
-            vectorised = table_permits(table, all_ids, direction)
-            object_path = np.fromiter(
-                (probe(can_id) for can_id in range(ID_SPACE)), dtype=bool, count=ID_SPACE
+    for scenario in registered_scenarios():
+        specs = scenario.vehicle_specs(vehicles, seed)
+        memo_off = runner._simulate_specs(specs, memo=False)
+        memo_on = runner._simulate_specs(specs, memo=True)
+        if _outcome_digest(memo_off) != _outcome_digest(memo_on):
+            raise BackendParityError(
+                f"scenario {scenario.name!r}: memoised outcomes diverge from "
+                f"the object kernel over {vehicles} vehicles at seed {seed}"
             )
-            if not bool((vectorised == object_path).all()):
-                raise BackendParityError(
-                    f"bitmask {direction} probe diverged from "
-                    f"CompiledDecisionTable.may_{direction} on trial {trial}"
-                )
-
-
-def parity_gate(force: bool = False) -> None:
-    """Assert lockstep parity over every registered scenario, cached.
-
-    Simulates a small fleet of each registered scenario through both
-    backends and compares the folded outcome digests (the same fold
-    fleet fingerprints use), plus the probe-parity sweep.  Verdicts are
-    cached per registry state, so a warm session pays the gate once;
-    a failure raises :class:`BackendParityError` (sessions with
-    ``backend="auto"`` catch it and fall back to the object kernel).
-    """
-    _require_numpy()
-    key = _registry_key()
-    if not force and key in _GATE_CACHE:
-        failure = _GATE_CACHE[key]
-        if failure is not None:
-            raise BackendParityError(failure)
-        return
-    failure = None
-    try:
-        _probe_parity_trials()
-        for scenario in registered_scenarios():
-            specs = scenario.vehicle_specs(_GATE_VEHICLES, _GATE_SEED)
-            baseline = [
-                simulate_vehicle(spec, trace_level=TraceLevel.COUNTERS, pool=_process_pool())
-                for spec in specs
-            ]
-            lockstep = simulate_specs_vectorised(specs)
-            if _outcome_digest(baseline) != _outcome_digest(lockstep):
-                failure = (
-                    f"scenario {scenario.name!r}: vectorised outcomes diverge "
-                    f"from the object kernel over {_GATE_VEHICLES} vehicles "
-                    f"at seed {_GATE_SEED}"
-                )
-                break
-    except BackendParityError as error:
-        failure = str(error)
-    _GATE_CACHE[key] = failure
-    if failure is not None:
-        raise BackendParityError(failure)

@@ -46,6 +46,29 @@ from repro.service.worker import DrainWorker
 _JSON = "application/json"
 _NDJSON = "application/x-ndjson"
 
+#: Largest request body the service reads.  A larger declared
+#: ``Content-Length`` gets ``413`` and the body is never read.
+MAX_BODY_BYTES = 1 << 20
+
+#: Largest ``?limit=`` a job listing accepts: SQLite's integer range.
+MAX_LIST_LIMIT = (1 << 63) - 1
+
+
+class _BodyTooLarge(ValueError):
+    """A request declared a body above :data:`MAX_BODY_BYTES`."""
+
+
+def _list_limit(query: dict[str, list[str]]) -> int:
+    """The ``?limit=`` of a job listing; SQLite reads a negative one as "no limit"."""
+    raw = (query.get("limit") or ["100"])[0]
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if not 0 <= limit <= MAX_LIST_LIMIT:
+        raise ValueError(f"limit must be a non-negative integer, not {raw!r}")
+    return limit
+
 
 def _drain_worker_main(
     db_path: str, name: str, lease_s: float, poll_s: float, stop
@@ -255,6 +278,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -262,7 +287,20 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise _BodyTooLarge(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+            raise ValueError(f"Content-Length must be a non-negative integer, not {raw!r}")
         body = self.rfile.read(length) if length else b""
         if not body:
             raise ValueError("request body must be a JSON object")
@@ -294,8 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif parts == ["experiments"]:
                 self.service.sweep()
                 state = (query.get("state") or [None])[0]
-                limit = int((query.get("limit") or ["100"])[0])
-                jobs = self.service.store.jobs(state=state, limit=limit)
+                jobs = self.service.store.jobs(state=state, limit=_list_limit(query))
                 self._send_json(200, {"jobs": [job.to_payload() for job in jobs]})
             elif len(parts) == 2 and parts[0] == "experiments":
                 self.service.sweep()
@@ -330,6 +367,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._cancel(self._job_id(parts[1]))
             else:
                 self._error(404, f"no such endpoint: POST {url.path}")
+        except _BodyTooLarge as exc:
+            self._error(413, str(exc))
         except (ValueError, KeyError, TypeError) as exc:
             self._error(400, str(exc))
 

@@ -1,36 +1,37 @@
 """Tests for :class:`repro.api.session.FleetSession`: streaming outcomes,
-batch/legacy equivalence, config sweeps and the session lifecycle."""
+batch/fresh-session equivalence, config sweeps and the session lifecycle."""
 
 import gc
 import json
-import warnings
 import weakref
 
 import pytest
 
 from repro.api import ExperimentConfig, FleetSession, run_experiment
 from repro.api.cli import main as cli_main
-from repro.fleet.runner import FleetRunner
 from repro.fleet.scenarios import VehicleAction, VehicleSpec
 
 SMALL_FLEET = 16
 
 
-def _legacy_result(workers, scenario="mixed_ev_dos", vehicles=SMALL_FLEET, seed=42, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return FleetRunner(workers=workers, **kwargs).run(scenario, vehicles, seed=seed)
+def _fresh_result(workers, scenario="mixed_ev_dos", vehicles=SMALL_FLEET, seed=42, **plan):
+    """The fleet run through its own one-shot session."""
+    config = ExperimentConfig(
+        scenario=scenario, vehicles=vehicles, seed=seed, workers=workers, **plan
+    )
+    with FleetSession(config) as session:
+        return session.run()
 
 
 class TestRun:
-    def test_run_matches_legacy_at_one_and_four_workers(self):
+    def test_run_matches_fresh_sessions_at_one_and_four_workers(self):
         config = ExperimentConfig(scenario="mixed_ev_dos", vehicles=SMALL_FLEET, seed=42)
         serial = FleetSession(config).run()
         with FleetSession(config.with_overrides(workers=4, chunk_size=2)) as session:
             parallel = session.run()
         assert serial.fingerprint() == parallel.fingerprint()
-        assert serial.fingerprint() == _legacy_result(1).fingerprint()
-        assert serial.fingerprint() == _legacy_result(4, chunk_size=2).fingerprint()
+        assert serial.fingerprint() == _fresh_result(1).fingerprint()
+        assert serial.fingerprint() == _fresh_result(4, chunk_size=2).fingerprint()
         assert serial.vehicles == SMALL_FLEET
 
     def test_run_experiment_one_shot(self):
@@ -98,10 +99,10 @@ class TestRun:
         result = session.run_specs(specs, "custom-unit")
         assert result.vehicles == 3
         assert result.scenario == "custom-unit"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = FleetRunner(workers=1).run_specs(specs, "custom-unit")
-        assert result.fingerprint() == legacy.fingerprint()
+        fresh_config = ExperimentConfig(scenario="custom-unit", vehicles=3, workers=1)
+        with FleetSession(fresh_config) as fresh_session:
+            fresh = fresh_session.run_specs(specs, "custom-unit")
+        assert result.fingerprint() == fresh.fingerprint()
 
 
 class TestStreaming:
@@ -201,7 +202,7 @@ class TestRunMatrix:
 class TestStreamingAcceptance:
     """The tentpole acceptance: a 2,000-vehicle ``fleet_replay_storm``
     run streams with bounded memory and every surface -- streamed
-    session, batch session, legacy runner at 1 and 4 workers, and the
+    session, batch session, fresh sessions at 1 and 4 workers, and the
     ``python -m repro`` CLI -- produces one bit-identical fingerprint."""
 
     SCENARIO = "fleet_replay_storm"
@@ -244,15 +245,15 @@ class TestStreamingAcceptance:
         # batch aggregator used to hold.
         assert max_alive < self.VEHICLES // 4
 
-    def test_stream_is_bit_identical_to_batch_and_legacy(self, streamed, config):
+    def test_stream_is_bit_identical_to_batch_and_fresh_sessions(self, streamed, config):
         result, _, _ = streamed
         with FleetSession(config) as session:
             batch = session.run()
         assert result.fingerprint() == batch.fingerprint()
-        assert result.fingerprint() == _legacy_result(
+        assert result.fingerprint() == _fresh_result(
             1, scenario=self.SCENARIO, vehicles=self.VEHICLES, seed=self.SEED
         ).fingerprint()
-        assert result.fingerprint() == _legacy_result(
+        assert result.fingerprint() == _fresh_result(
             4, scenario=self.SCENARIO, vehicles=self.VEHICLES, seed=self.SEED
         ).fingerprint()
 

@@ -16,7 +16,7 @@ from repro.attacks.attacker import MaliciousNode
 from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CarPool, CaseStudyBuilder
 from repro.core.enforcement import EnforcementConfig
-from repro.fleet.runner import FleetRunner
+from repro.api import ExperimentConfig, FleetSession
 from repro.vehicle.modes import CarMode
 
 SEED = 99
@@ -134,39 +134,39 @@ class TestCarPool:
         assert len(pool) == 0
 
 
+def run_fleet(scenario, vehicles, **plan):
+    config = ExperimentConfig(scenario=scenario, vehicles=vehicles, seed=SEED, **plan)
+    with FleetSession(config) as session:
+        return session.run()
+
+
 class TestPooledFleetDeterminism:
     @pytest.mark.parametrize("scenario", ["fleet_replay_storm", "mixed_ev_dos"])
     def test_pooled_matches_fresh_single_worker(self, scenario):
-        fresh = FleetRunner(workers=1, reuse_cars=False).run(scenario, 24, seed=SEED)
-        pooled = FleetRunner(workers=1, reuse_cars=True).run(scenario, 24, seed=SEED)
+        fresh = run_fleet(scenario, 24, workers=1, reuse_cars=False)
+        pooled = run_fleet(scenario, 24, workers=1, reuse_cars=True)
         assert fresh.fingerprint() == pooled.fingerprint()
         assert fresh.frames_transmitted == pooled.frames_transmitted
         assert fresh.frames_blocked == pooled.frames_blocked
         assert fresh.attacks_mitigated == pooled.attacks_mitigated
 
     def test_pooled_matches_fresh_across_worker_counts(self):
-        reference = FleetRunner(workers=1, reuse_cars=False).run(
-            "fleet_replay_storm", 24, seed=SEED
-        )
+        reference = run_fleet("fleet_replay_storm", 24, workers=1, reuse_cars=False)
         for workers in (1, 4):
-            pooled = FleetRunner(workers=workers, reuse_cars=True).run(
-                "fleet_replay_storm", 24, seed=SEED
-            )
+            pooled = run_fleet("fleet_replay_storm", 24, workers=workers, reuse_cars=True)
             assert pooled.fingerprint() == reference.fingerprint(), workers
 
     def test_compiled_and_object_paths_agree_pooled(self):
-        compiled = FleetRunner(workers=1, reuse_cars=True, compile_tables=True).run(
-            "staggered_ota_rollout", 16, seed=SEED
+        compiled = run_fleet(
+            "staggered_ota_rollout", 16, workers=1, reuse_cars=True, compile_tables=True
         )
-        object_path = FleetRunner(workers=1, reuse_cars=True, compile_tables=False).run(
-            "staggered_ota_rollout", 16, seed=SEED
+        object_path = run_fleet(
+            "staggered_ota_rollout", 16, workers=1, reuse_cars=True, compile_tables=False
         )
         assert compiled.fingerprint() == object_path.fingerprint()
 
     def test_build_seconds_split_out_of_wall_seconds(self):
-        result = FleetRunner(workers=1, reuse_cars=False).run(
-            "baseline_cruise", 6, seed=SEED
-        )
+        result = run_fleet("baseline_cruise", 6, workers=1, reuse_cars=False)
         assert result.build_wall_seconds > 0.0
         assert result.simulation_wall_seconds > 0.0
         assert result.sim_vehicles_per_second >= result.vehicles_per_second

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.fleet.runner import FleetRunner, config_for_label, simulate_vehicle
+from repro.api import ExperimentConfig, FleetSession
+from repro.fleet.runner import config_for_label, simulate_vehicle
 from repro.fleet.scenarios import VehicleAction, VehicleSpec, get_scenario
 
 #: Small fleet sizes keep the multiprocessing tests fast while still
 #: exercising chunking across several workers.
 SMALL_FLEET = 12
+
+
+def run_fleet(scenario, vehicles, seed, **plan):
+    config = ExperimentConfig(scenario=scenario, vehicles=vehicles, seed=seed, **plan)
+    with FleetSession(config) as session:
+        return session.run()
 
 
 def make_spec(vehicle_id=0, enforcement="hpe+selinux", actions=(), duration_s=0.2, seed=11):
@@ -86,37 +93,41 @@ class TestSimulateVehicle:
         assert first.deterministic_tuple() == second.deterministic_tuple()
 
 
-class TestFleetRunner:
+class TestFleetSession:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            FleetRunner(workers=0)
+            ExperimentConfig(scenario="baseline_cruise", vehicles=1, workers=0)
 
-    def test_run_accepts_scenario_name_or_object(self):
-        by_name = FleetRunner().run("baseline_cruise", SMALL_FLEET, seed=3)
-        by_object = FleetRunner().run(get_scenario("baseline_cruise"), SMALL_FLEET, seed=3)
+    def test_run_accepts_scenario_name_or_explicit_specs(self):
+        by_name = run_fleet("baseline_cruise", SMALL_FLEET, seed=3)
+        specs = get_scenario("baseline_cruise").vehicle_specs(SMALL_FLEET, 3)
+        config = ExperimentConfig(scenario="baseline_cruise", vehicles=SMALL_FLEET)
+        with FleetSession(config) as session:
+            by_object = session.run_specs(specs, "baseline_cruise")
         assert by_name.fingerprint() == by_object.fingerprint()
         assert by_name.vehicles == SMALL_FLEET
 
     def test_parallel_aggregates_are_bit_identical_to_serial(self):
-        serial = FleetRunner(workers=1).run("mixed_ev_dos", SMALL_FLEET, seed=42)
-        parallel = FleetRunner(workers=4, chunk_size=2).run(
-            "mixed_ev_dos", SMALL_FLEET, seed=42
-        )
+        serial = run_fleet("mixed_ev_dos", SMALL_FLEET, seed=42, workers=1)
+        parallel = run_fleet("mixed_ev_dos", SMALL_FLEET, seed=42, workers=4, chunk_size=2)
         assert serial.fingerprint() == parallel.fingerprint()
         assert serial.frames_transmitted == parallel.frames_transmitted
         assert serial.frames_blocked == parallel.frames_blocked
         assert serial.latency_p99_s == parallel.latency_p99_s
         assert serial.enforcement_mix == parallel.enforcement_mix
 
-    def test_run_many_uses_globally_unique_vehicle_ids(self):
-        results = FleetRunner().run_many(
-            ("baseline_cruise", "fuzz_probe"), vehicles_each=4, seed=1
-        )
+    def test_matrix_runs_with_globally_unique_vehicle_ids(self):
+        configs = [
+            ExperimentConfig(scenario=name, vehicles=4, seed=1, first_vehicle_id=4 * i)
+            for i, name in enumerate(("baseline_cruise", "fuzz_probe"))
+        ]
+        with FleetSession(configs[0]) as session:
+            results = {config.scenario: result for config, result in session.run_matrix(configs)}
         assert set(results) == {"baseline_cruise", "fuzz_probe"}
         assert all(result.vehicles == 4 for result in results.values())
 
     def test_wall_clock_throughput_is_reported(self):
-        result = FleetRunner().run("baseline_cruise", SMALL_FLEET, seed=3)
+        result = run_fleet("baseline_cruise", SMALL_FLEET, seed=3)
         assert result.wall_seconds > 0
         assert result.frames_per_second > 0
         assert result.vehicles_per_second > 0

@@ -9,7 +9,7 @@ never what the simulation computes.
 import pytest
 
 from repro.can.trace import TraceLevel
-from repro.fleet import FleetRunner
+from repro.api import ExperimentConfig, FleetSession
 from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT, simulate_vehicle
 from repro.fleet.scenarios import get_scenario
 
@@ -21,8 +21,11 @@ VEHICLES = 6
 def test_fleet_fingerprint_identical_across_trace_levels(scenario):
     results = {}
     for level in TraceLevel:
-        runner = FleetRunner(workers=1, trace_level=level)
-        results[level] = runner.run(scenario, VEHICLES, seed=SEED)
+        config = ExperimentConfig(
+            scenario=scenario, vehicles=VEHICLES, seed=SEED, workers=1, trace_level=level
+        )
+        with FleetSession(config) as session:
+            results[level] = session.run()
     fingerprints = {r.fingerprint() for r in results.values()}
     assert len(fingerprints) == 1
     reference = results[TraceLevel.FULL]
@@ -35,11 +38,11 @@ def test_fleet_fingerprint_identical_across_trace_levels(scenario):
         assert result.latency_p99_s == reference.latency_p99_s
 
 
-def test_runner_accepts_string_trace_level():
-    runner = FleetRunner(workers=1, trace_level="ring")
-    assert runner.trace_level is TraceLevel.RING
+def test_config_accepts_string_trace_level():
+    config = ExperimentConfig(scenario="baseline_cruise", vehicles=1, trace_level="ring")
+    assert config.trace_level is TraceLevel.RING
     with pytest.raises(ValueError):
-        FleetRunner(workers=1, trace_level="verbose")
+        ExperimentConfig(scenario="baseline_cruise", vehicles=1, trace_level="verbose")
 
 
 def test_simulate_vehicle_inbox_limit_does_not_change_outcome():

@@ -2,15 +2,13 @@
 shared-memory transport, lazy spec streaming, and fingerprint parity
 across ``spec_transfer`` modes, worker counts and spec paths."""
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentConfig, FleetSession
 from repro.fleet.results import OUTCOME_COLUMNS, VehicleOutcome
-from repro.fleet.runner import FleetRunner, _chunked
+from repro.fleet.runner import _chunked
 from repro.fleet.scenarios import (
     FleetScenario,
     VehicleAction,
@@ -238,7 +236,7 @@ class TestChunkedLaziness:
 class TestFingerprintParity:
     """The acceptance sweep: one fingerprint per (scenario, seed)
     regardless of spec_transfer mode, worker count, or whether specs
-    were streamed, materialised or pushed through the legacy shim."""
+    were streamed, materialised or run through a fresh session."""
 
     SEED = 7
     VEHICLES = 10
@@ -264,19 +262,20 @@ class TestFingerprintParity:
                 materialised = session.run_specs(specs, name)
                 assert materialised.fingerprint() in fingerprints, name
 
-    def test_legacy_shim_matches_the_shm_default(self):
+    def test_fresh_session_matches_the_shm_default(self):
         config = ExperimentConfig(
             scenario="mixed_ev_dos", vehicles=self.VEHICLES, seed=self.SEED,
             workers=4, chunk_size=3,
         )
         with FleetSession(config) as session:
             modern = session.run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = FleetRunner(workers=4, chunk_size=3).run(
-                "mixed_ev_dos", self.VEHICLES, seed=self.SEED
-            )
-        assert modern.fingerprint() == legacy.fingerprint()
+        fresh_config = ExperimentConfig(
+            scenario="mixed_ev_dos", vehicles=self.VEHICLES, seed=self.SEED,
+            workers=4, chunk_size=3,
+        )
+        with FleetSession(fresh_config) as session:
+            fresh = session.run()
+        assert modern.fingerprint() == fresh.fingerprint()
 
 
 class TestRunMatrixSpecReuse:

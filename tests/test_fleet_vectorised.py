@@ -1,14 +1,13 @@
-"""Parity and gating tests for :mod:`repro.fleet.vectorised`.
+"""Tests for the per-chunk outcome memo behind ``backend="auto"``.
 
-The lockstep backend's whole contract is outcome-exactness: every
-deterministic field of every outcome it returns must equal what the
-object kernel produces for the same spec, per-vehicle, bit for bit.
-These tests assert that contract on every registered scenario, on
-hand-built and hypothesis-generated spec streams (including mixed
-eligible/fallback chunks and out-of-64-bit escape params), through both
-the spec-list and columnar SpecBlock entry points, and end to end
-through sessions at 1 and 4 workers in both transfer modes.  The gate,
-the numpy-optionality story and the config surface are pinned too.
+The memo's contract is outcome-exactness: every deterministic field of
+every outcome equals what the memo-off path (one kernel run per
+vehicle) produces for the same spec.  These tests assert it on every
+registered scenario through the spec-list and columnar SpecBlock entry
+points, on hand-built and hypothesis-generated chunks, and end to end
+through sessions at 1 and 4 workers in both transfer modes.  The
+declared seed-independence of each action kind -- what makes the memo
+sound -- is checked kind by kind under two seeds.
 """
 
 import dataclasses
@@ -18,44 +17,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ConfigError, ExperimentConfig, FleetSession
-from repro.core.compiled import ID_SPACE, CompiledDecisionTable, build_mask
-from repro.fleet import vectorised
-from repro.fleet.runner import simulate_vehicle
+from repro.fleet import runner, vectorised
+from repro.fleet.runner import SEED_INDEPENDENT_KINDS, _simulate_specs
 from repro.fleet.scenarios import (
     ENFORCEMENT_LABELS,
     VehicleAction,
     VehicleSpec,
     get_scenario,
     registered_scenarios,
-    temporary_scenario,
 )
 from repro.fleet.transfer import SpecBlock
 from repro.fleet.vectorised import (
-    VECTORISABLE_KINDS,
     BackendParityError,
-    BackendUnavailableError,
     parity_gate,
-    permit_mask_probe,
     scenario_backend_eligibility,
     simulate_block_vectorised,
     simulate_specs_vectorised,
-    spec_eligibility,
-    table_permits,
 )
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 SCENARIO_NAMES = [scenario.name for scenario in registered_scenarios()]
-
-requires_numpy = pytest.mark.skipif(
-    not vectorised.numpy_available(), reason="numpy (repro[fast]) not installed"
-)
 
 
 def _tuples(outcomes):
     return [outcome.deterministic_tuple() for outcome in outcomes]
 
 
-def _object_tuples(specs):
-    return _tuples(simulate_vehicle(spec) for spec in specs)
+def _memo_off_tuples(specs):
+    return _tuples(_simulate_specs(specs, memo=False))
+
+
+def _block(specs):
+    return SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes())
 
 
 def _spec(vehicle_id, actions, enforcement="hpe+selinux", duration_s=0.1, seed=7):
@@ -69,110 +63,102 @@ def _spec(vehicle_id, actions, enforcement="hpe+selinux", duration_s=0.1, seed=7
     )
 
 
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Count real kernel runs the memo makes (through the module global)."""
+    calls = []
+    original = runner.simulate_vehicle
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.vehicle_id)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate_vehicle", counting)
+    return calls
+
+
+#: One runnable example per dispatched action kind.  A kind added to
+#: the runner's dispatch table without an example here fails the test.
+EXAMPLE_ACTIONS = {
+    "drive": {"accel": 60},
+    "park_and_arm": {},
+    "attack": {"threat_id": "T01"},
+    "targeted_dos": {"target": "EV-ECU", "repetitions": 1},
+    "flood": {"frames": 10, "window_s": 0.05},
+    "replay": {"messages": ("DOOR_UNLOCK_CMD",), "capture_duration_s": 0.05},
+    "fuzz": {"frames": 60},
+    "policy_update": {"description": "seed sweep"},
+}
+
+#: Kinds known to draw from the per-vehicle seeded RNG streams.
+SEED_DEPENDENT_KINDS = frozenset({"fuzz"})
+
+
+class TestSeedIndependenceDeclaration:
+    """Every kind the runner dispatches is declared one way or the other."""
+
+    def test_every_dispatched_kind_is_classified(self):
+        dispatched = set(runner._ACTION_HANDLERS)
+        unclassified = dispatched - SEED_INDEPENDENT_KINDS - SEED_DEPENDENT_KINDS
+        assert not unclassified, (
+            f"action kinds {sorted(unclassified)} are neither declared "
+            "seed-independent nor listed as seed-dependent"
+        )
+        assert not SEED_INDEPENDENT_KINDS & SEED_DEPENDENT_KINDS
+        assert SEED_INDEPENDENT_KINDS <= dispatched
+        assert dispatched <= set(EXAMPLE_ACTIONS)
+
+    @pytest.mark.parametrize("kind", sorted(runner._ACTION_HANDLERS))
+    def test_kind_behaves_as_declared_under_two_seeds(self, kind):
+        actions = [
+            VehicleAction(0.0, "drive", {"accel": 50}),
+            VehicleAction(0.05, kind, EXAMPLE_ACTIONS[kind]),
+        ]
+        differs = {}
+        for enforcement in ENFORCEMENT_LABELS:
+            rows = [
+                runner.simulate_vehicle(
+                    _spec(vehicle_id, actions, enforcement, duration_s=0.3, seed=seed)
+                ).deterministic_tuple()[1:]
+                for vehicle_id, seed in ((0, 11), (1, 90_001))
+            ]
+            differs[enforcement] = rows[0] != rows[1]
+        if kind in SEED_INDEPENDENT_KINDS:
+            assert not any(differs.values()), (kind, differs)
+        else:
+            # Some enforcement labels mask the randomness (e.g. every
+            # fuzzed frame blocked either way); one label must show it.
+            assert any(differs.values()), f"{kind} is listed seed-dependent but is not"
+
+
 class TestEligibility:
-    def test_plain_drive_spec_is_eligible(self):
-        spec = _spec(0, [VehicleAction(0.0, "drive", {"accel": 55})])
-        assert spec_eligibility(spec) == (True, None)
+    def test_every_registered_scenario_classifies(self):
+        for name in SCENARIO_NAMES:
+            report = scenario_backend_eligibility(get_scenario(name))
+            assert (report["reason"] is None) == report["memoisable"], name
+        assert scenario_backend_eligibility(get_scenario("baseline_cruise"))["memoisable"]
 
-    def test_fuzz_spec_is_ineligible_with_named_reason(self):
-        spec = _spec(0, [VehicleAction(0.0, "fuzz", {"frames": 10})])
-        ok, reason = spec_eligibility(spec)
-        assert not ok
-        assert "fuzz" in reason
-        assert "seeded RNG" in reason
-
-    def test_fuzz_is_the_only_excluded_builtin_kind(self):
-        # Pin the subset against the runner's dispatch table: every kind
-        # the kernel understands except fuzz is vectorisable.
-        assert VECTORISABLE_KINDS == {
-            "drive",
-            "park_and_arm",
-            "attack",
-            "targeted_dos",
-            "flood",
-            "replay",
-            "policy_update",
-        }
-
-    def test_scenario_eligibility_does_not_need_numpy(self, monkeypatch):
-        monkeypatch.setattr(vectorised, "_np", None)
+    def test_fuzz_scenario_names_the_kind(self):
         report = scenario_backend_eligibility(get_scenario("fuzz_probe"))
-        assert report["vectorisable"] is False
+        assert report["memoisable"] is False
         assert "fuzz" in report["reason"]
         assert "fuzz" in report["action_kinds"]
 
-    def test_every_registered_scenario_classifies(self):
-        vectorisable = {
-            name: scenario_backend_eligibility(get_scenario(name))["vectorisable"]
-            for name in SCENARIO_NAMES
-        }
-        assert vectorisable["baseline_cruise"] is True
-        assert vectorisable["fuzz_probe"] is False
-        for name, ok in vectorisable.items():
-            report = scenario_backend_eligibility(get_scenario(name))
-            if ok:
-                assert report["reason"] is None
-            else:
-                assert report["reason"]
 
-
-@requires_numpy
-class TestPermitMaskProbe:
-    def _table(self, seed=3):
-        import random
-
-        rng = random.Random(seed)
-        read_ids = frozenset(rng.sample(range(ID_SPACE), k=64))
-        write_ids = frozenset(rng.sample(range(ID_SPACE), k=64))
-        return CompiledDecisionTable(
-            node="probe-test",
-            read_mask=build_mask(read_ids),
-            write_mask=build_mask(write_ids),
-        )
-
-    def test_probe_matches_object_checks_over_the_whole_id_space(self):
-        table = self._table()
-        all_ids = range(ID_SPACE)
-        for direction in ("read", "write"):
-            probe = getattr(table, f"may_{direction}")
-            mask = table_permits(table, list(all_ids), direction)
-            assert [bool(bit) for bit in mask] == [probe(i) for i in all_ids]
-
-    def test_out_of_range_ids_rejected(self):
-        table = self._table()
-        with pytest.raises(ValueError, match="standard space"):
-            table_permits(table, [0, ID_SPACE], "read")
-        with pytest.raises(ValueError, match="standard space"):
-            table_permits(table, [-1], "write")
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError, match="direction"):
-            table_permits(self._table(), [0], "execute")
-
-    def test_probe_reads_the_mask_zero_copy(self):
-        mask = bytearray(256)
-        mask[0] = 0b0000_0101  # ids 0 and 2
-        got = permit_mask_probe(memoryview(bytes(mask)), [0, 1, 2, 3])
-        assert [bool(bit) for bit in got] == [True, False, True, False]
-
-
-@requires_numpy
 class TestChunkParity:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_spec_list_path_is_outcome_exact(self, name):
         specs = get_scenario(name).vehicle_specs(10, seed=2018)
-        assert _tuples(simulate_specs_vectorised(specs)) == _object_tuples(specs)
+        assert _tuples(simulate_specs_vectorised(specs)) == _memo_off_tuples(specs)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_columnar_block_path_is_outcome_exact(self, name):
         specs = get_scenario(name).vehicle_specs(10, seed=2018)
-        block = SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes())
-        assert _tuples(simulate_block_vectorised(block)) == _object_tuples(specs)
+        assert _tuples(simulate_block_vectorised(_block(specs))) == _memo_off_tuples(specs)
 
-    def test_mixed_eligibility_chunk_falls_back_per_vehicle(self):
-        # Interleave lockstep-able vehicles with fuzz vehicles: the
-        # fallbacks run the object kernel in place, the rest broadcast,
-        # and the chunk stays outcome-exact in original order.
+    def test_mixed_fuzz_and_drive_chunk(self, kernel_runs):
+        # Fuzz vehicles run their own kernel in place; drive vehicles
+        # share one run per accel value; order is the chunk's order.
         specs = []
         for i in range(9):
             if i % 3 == 2:
@@ -180,23 +166,26 @@ class TestChunkParity:
             else:
                 actions = [VehicleAction(0.0, "drive", {"accel": 40 + 10 * (i % 2)})]
             specs.append(_spec(i, actions, seed=100 + i))
-        assert _tuples(simulate_specs_vectorised(specs)) == _object_tuples(specs)
-        block = SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes())
-        assert _tuples(simulate_block_vectorised(block)) == _object_tuples(specs)
+        expected = _memo_off_tuples(specs)
+        kernel_runs.clear()
+        assert _tuples(simulate_specs_vectorised(specs)) == expected
+        assert kernel_runs == [0, 1, 2, 5, 8]
+        assert _tuples(simulate_block_vectorised(_block(specs))) == expected
 
-    def test_identical_behaviour_distinct_seeds_share_one_class(self):
-        # The load-bearing seed-independence property: same behaviour
-        # key, wildly different seeds, identical deterministic rows.
+    def test_one_behaviour_with_distinct_seeds_shares_one_kernel_run(self, kernel_runs):
         actions = [VehicleAction(0.0, "drive", {"accel": 60})]
         specs = [_spec(i, actions, seed=i * 977 + 5) for i in range(6)]
         outcomes = simulate_specs_vectorised(specs)
-        rows = {outcome.deterministic_tuple()[3:] for outcome in outcomes}
-        assert len(rows) == 1
-        assert _tuples(outcomes) == _object_tuples(specs)
+        assert kernel_runs == [0]
+        assert [o.vehicle_id for o in outcomes] == list(range(6))
+        assert len({o.deterministic_tuple()[1:] for o in outcomes}) == 1
+        assert all(o.wall_seconds == 0.0 and o.build_seconds == 0.0 for o in outcomes[1:])
+        assert outcomes[0].wall_seconds > 0.0
+        assert _tuples(outcomes) == _memo_off_tuples(specs)
 
-    def test_out_of_band_escape_params_split_classes_not_correctness(self):
+    def test_escape_params_above_64_bits(self, kernel_runs):
         # Params above the codec's 64-bit columns ride the escape table;
-        # they must neither crash the block path nor merge classes.
+        # equal ones share a run, different ones never merge.
         big = 2**80 + 17
         specs = [
             _spec(0, [VehicleAction(0.0, "drive", {"accel": 50, "band": big})]),
@@ -204,9 +193,11 @@ class TestChunkParity:
             _spec(2, [VehicleAction(0.0, "drive", {"accel": 50, "band": big + 1})]),
             _spec(3, [VehicleAction(0.0, "drive", {"accel": 50})]),
         ]
-        assert _tuples(simulate_specs_vectorised(specs)) == _object_tuples(specs)
-        block = SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes())
-        assert _tuples(simulate_block_vectorised(block)) == _object_tuples(specs)
+        expected = _memo_off_tuples(specs)
+        kernel_runs.clear()
+        assert _tuples(simulate_block_vectorised(_block(specs))) == expected
+        assert kernel_runs == [0, 2, 3]
+        assert _tuples(simulate_specs_vectorised(specs)) == expected
 
     def test_int_valued_hand_built_specs_match_across_paths(self):
         # Int durations/times canonicalise to floats on construction, so
@@ -215,17 +206,34 @@ class TestChunkParity:
             _spec(i, [VehicleAction(0, "park_and_arm", {})], duration_s=1)
             for i in range(4)
         ]
-        expected = _object_tuples(specs)
+        expected = _memo_off_tuples(specs)
         assert _tuples(simulate_specs_vectorised(specs)) == expected
-        block = SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes())
-        assert _tuples(simulate_block_vectorised(block)) == expected
+        assert _tuples(simulate_block_vectorised(_block(specs))) == expected
 
-    def test_lockstep_refuses_non_counters_retention(self):
-        specs = [_spec(0, [VehicleAction(0.0, "drive", {})])]
-        with pytest.raises(ValueError, match="counters"):
-            simulate_specs_vectorised(specs, trace_level="full")
-        with pytest.raises(ValueError, match="compile_tables"):
-            simulate_specs_vectorised(specs, compile_tables=False)
+    @pytest.mark.parametrize(
+        "options", [{"trace_level": "full"}, {"compile_tables": False}, {"reuse_cars": False}]
+    )
+    def test_memo_is_exact_at_every_trace_level_and_table_mode(self, options):
+        specs = get_scenario("baseline_cruise").vehicle_specs(12, seed=2018)
+        memo_off = _simulate_specs(specs, memo=False, **options)
+        assert _tuples(_simulate_specs(specs, memo=True, **options)) == _tuples(memo_off)
+
+    def test_telemetry_counts_keys_and_fallbacks(self):
+        specs = [
+            _spec(0, [VehicleAction(0.0, "drive", {"accel": 50})]),
+            _spec(1, [VehicleAction(0.0, "drive", {"accel": 50})]),
+            _spec(2, [VehicleAction(0.0, "fuzz", {"frames": 5})]),
+        ]
+        registry = MetricsRegistry()
+        previous = obs_metrics.activate(registry)
+        try:
+            simulate_specs_vectorised(specs)
+        finally:
+            obs_metrics.activate(previous)
+        assert registry.counter("backend.vectorised.chunks").value == 1
+        assert registry.counter("backend.vectorised.vehicles").value == 2
+        assert registry.counter("backend.vectorised.classes").value == 1
+        assert registry.counter("backend.fallback_vehicles").value == 1
 
 
 def _benign_action():
@@ -252,16 +260,12 @@ def _attack_action():
         st.sampled_from(["EV-ECU", "Engine", "EPS"]),
     )
     flood = st.builds(
-        lambda frames: VehicleAction(
-            0.05, "flood", {"frames": frames, "window_s": 0.05}
-        ),
+        lambda frames: VehicleAction(0.05, "flood", {"frames": frames, "window_s": 0.05}),
         st.integers(min_value=5, max_value=15),
     )
     replay = st.just(
         VehicleAction(
-            0.05,
-            "replay",
-            {"messages": ("DOOR_UNLOCK_CMD",), "capture_duration_s": 0.05},
+            0.05, "replay", {"messages": ("DOOR_UNLOCK_CMD",), "capture_duration_s": 0.05}
         )
     )
     fuzz = st.builds(
@@ -292,83 +296,54 @@ def _spec_stream():
     return st.builds(build, st.lists(row, min_size=1, max_size=4))
 
 
-@requires_numpy
 class TestHypothesisParity:
     @settings(max_examples=10, deadline=None)
     @given(specs=_spec_stream())
     def test_random_spec_streams_are_outcome_exact(self, specs):
-        expected = _object_tuples(specs)
+        expected = _memo_off_tuples(specs)
         assert _tuples(simulate_specs_vectorised(specs)) == expected
-        block = SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes())
-        assert _tuples(simulate_block_vectorised(block)) == expected
+        assert _tuples(simulate_block_vectorised(_block(specs))) == expected
 
 
-@requires_numpy
 class TestParityGate:
-    def test_gate_passes_and_caches_the_verdict(self):
+    def test_gate_passes(self):
         parity_gate()
-        key = vectorised._registry_key()
-        assert vectorised._GATE_CACHE[key] is None
-        parity_gate()  # cached: no recompute, no raise
 
-    def test_registry_change_invalidates_the_cache_key(self):
-        before = vectorised._registry_key()
-        variant = dataclasses.replace(
-            get_scenario("baseline_cruise"), name="gate_probe_variant"
-        )
-        with temporary_scenario(variant):
-            assert vectorised._registry_key() != before
-        assert vectorised._registry_key() == before
+    def test_gate_detects_a_divergent_memo(self, monkeypatch):
+        original = runner._simulate_specs
 
-    def test_forced_divergence_raises_and_is_cached(self, monkeypatch):
-        def corrupted(specs, **kwargs):
-            outcomes = [simulate_vehicle(spec) for spec in specs]
-            outcomes[0] = dataclasses.replace(
-                outcomes[0], frames_transmitted=outcomes[0].frames_transmitted + 1
-            )
+        def corrupted(specs, **options):
+            outcomes = original(specs, **options)
+            if options.get("memo"):
+                first = outcomes[0]
+                outcomes[0] = dataclasses.replace(
+                    first, frames_transmitted=first.frames_transmitted + 1
+                )
             return outcomes
 
-        monkeypatch.setattr(vectorised, "simulate_specs_vectorised", corrupted)
-        try:
-            with pytest.raises(BackendParityError, match="diverge"):
-                parity_gate(force=True)
-            # The failure verdict is cached: a later non-forced call
-            # still refuses, even with the real implementation back.
-            monkeypatch.undo()
-            with pytest.raises(BackendParityError, match="diverge"):
-                parity_gate()
-        finally:
-            vectorised._GATE_CACHE.clear()
-        parity_gate()  # clean cache, real implementation: passes again
+        monkeypatch.setattr(runner, "_simulate_specs", corrupted)
+        with pytest.raises(BackendParityError, match="diverge"):
+            parity_gate()
 
-    def test_auto_backend_falls_back_when_the_gate_fails(self, monkeypatch):
-        def failing_gate(force=False):
-            raise BackendParityError("synthetic gate failure")
+    def test_sessions_never_run_the_gate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a session ran the parity gate")
 
-        monkeypatch.setattr(vectorised, "parity_gate", failing_gate)
+        monkeypatch.setattr(vectorised, "parity_gate", forbidden)
         config = ExperimentConfig(
             scenario="baseline_cruise", vehicles=4, seed=2018, backend="auto"
         )
         with FleetSession(config) as session:
-            assert session._resolve_backend(config) == "object"
-        explicit = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=4, seed=2018, backend="vectorised"
-        )
-        with FleetSession(explicit) as session:
-            with pytest.raises(BackendParityError):
-                session._resolve_backend(explicit)
+            assert session.run().vehicles == 4
 
 
-@requires_numpy
 class TestSessionBackends:
     @pytest.mark.parametrize("transfer", ["shm", "pickle"])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_fingerprints_identical_on_every_scenario(self, transfer, workers):
-        # The ISSUE acceptance criterion, literally: every registered
-        # scenario, both worker counts, both transfer modes.
         for name in SCENARIO_NAMES:
             fingerprints = {}
-            for backend in ("object", "vectorised"):
+            for backend in ("object", "auto"):
                 config = ExperimentConfig(
                     scenario=name,
                     vehicles=12,
@@ -379,36 +354,38 @@ class TestSessionBackends:
                 )
                 with FleetSession(config) as session:
                     fingerprints[backend] = session.run().fingerprint()
-            assert fingerprints["object"] == fingerprints["vectorised"], (
-                name,
-                workers,
-                transfer,
-            )
+            assert fingerprints["object"] == fingerprints["auto"], (name, workers, transfer)
 
-    def test_all_fallback_scenario_still_exact_under_vectorised(self):
+    def test_all_fallback_scenario_still_exact_under_auto(self, kernel_runs):
         fingerprints = {}
-        for backend in ("object", "vectorised"):
+        for backend in ("object", "auto"):
             config = ExperimentConfig(
                 scenario="fuzz_probe", vehicles=8, seed=2018, backend=backend
             )
             with FleetSession(config) as session:
                 fingerprints[backend] = session.run().fingerprint()
-        assert fingerprints["object"] == fingerprints["vectorised"]
+        assert fingerprints["object"] == fingerprints["auto"]
+        assert len(kernel_runs) == 16  # every fuzz vehicle ran its own kernel
 
-    def test_auto_resolves_vectorised_only_in_the_proven_regime(self):
-        eligible = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=4, backend="auto"
-        )
-        full_trace = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=4, backend="auto", trace_level="full"
-        )
-        with FleetSession(eligible) as session:
-            assert session._resolve_backend(eligible) == "vectorised"
-            assert session._resolve_backend(full_trace) == "object"
-
-    def test_telemetry_reports_lockstep_and_fallback_counters(self):
+    def test_memo_scope_is_one_chunk(self, kernel_runs):
+        # baseline_cruise repeats behaviour keys across chunks; every
+        # chunk pays for its own keys, so the run costs the sum of the
+        # per-chunk distinct keys, never the fleet-wide count.
         config = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=10, seed=2018, backend="vectorised"
+            scenario="baseline_cruise", vehicles=40, seed=2018, chunk_size=10, backend="auto"
+        )
+        with FleetSession(config) as session:
+            specs = session.vehicle_specs()
+            session.run()
+        per_chunk = sum(
+            len({(s.scenario, s.enforcement, s.duration_s, s.actions) for s in specs[i : i + 10]})
+            for i in range(0, 40, 10)
+        )
+        assert len(kernel_runs) == per_chunk
+
+    def test_session_telemetry_reports_memo_counters(self):
+        config = ExperimentConfig(
+            scenario="baseline_cruise", vehicles=10, seed=2018, backend="auto"
         )
         with FleetSession(config, telemetry=True) as session:
             session.run()
@@ -418,49 +395,11 @@ class TestSessionBackends:
         assert 1 <= snapshot.counter("backend.vectorised.classes") <= 10
         assert snapshot.counter("backend.fallback_vehicles") == 0
 
-        mixed = ExperimentConfig(
-            scenario="fuzz_probe", vehicles=6, seed=2018, backend="vectorised"
-        )
+        mixed = ExperimentConfig(scenario="fuzz_probe", vehicles=6, seed=2018, backend="auto")
         with FleetSession(mixed, telemetry=True) as session:
             session.run()
             snapshot = session.metrics_snapshot()
         assert snapshot.counter("backend.fallback_vehicles") == 6
-
-
-class TestWithoutNumpy:
-    def test_numpy_available_reflects_the_import(self, monkeypatch):
-        monkeypatch.setattr(vectorised, "_np", None)
-        assert vectorised.numpy_available() is False
-
-    def test_lockstep_entry_points_fail_fast(self, monkeypatch):
-        monkeypatch.setattr(vectorised, "_np", None)
-        specs = [_spec(0, [VehicleAction(0.0, "drive", {})])]
-        with pytest.raises(BackendUnavailableError, match="repro\\[fast\\]"):
-            simulate_specs_vectorised(specs)
-        with pytest.raises(BackendUnavailableError):
-            simulate_block_vectorised(SpecBlock.encode(specs))
-        with pytest.raises(BackendUnavailableError):
-            parity_gate()
-
-    def test_explicit_vectorised_backend_is_a_config_error(self, monkeypatch):
-        monkeypatch.setattr(vectorised, "_np", None)
-        config = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=4, backend="vectorised"
-        )
-        with FleetSession(config) as session:
-            with pytest.raises(ConfigError, match="numpy"):
-                session.run()
-
-    def test_auto_backend_degrades_to_the_object_kernel(self, monkeypatch):
-        plain = ExperimentConfig(scenario="baseline_cruise", vehicles=6, seed=2018)
-        with FleetSession(plain) as session:
-            expected = session.run().fingerprint()
-        monkeypatch.setattr(vectorised, "_np", None)
-        auto = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=6, seed=2018, backend="auto"
-        )
-        with FleetSession(auto) as session:
-            assert session.run().fingerprint() == expected
 
 
 class TestConfigSurface:
@@ -468,44 +407,27 @@ class TestConfigSurface:
         with pytest.raises(ConfigError, match="backend"):
             ExperimentConfig(scenario="baseline_cruise", vehicles=4, backend="gpu")
 
-    def test_vectorised_requires_counters_retention(self):
-        with pytest.raises(ConfigError, match="counters"):
-            ExperimentConfig(
-                scenario="baseline_cruise",
-                vehicles=4,
-                backend="vectorised",
-                trace_level="full",
-            )
+    def test_vectorised_is_a_config_error_naming_auto(self):
+        with pytest.raises(ConfigError, match="'auto'"):
+            ExperimentConfig(scenario="baseline_cruise", vehicles=4, backend="vectorised")
 
-    def test_vectorised_requires_compiled_tables(self):
-        with pytest.raises(ConfigError, match="compile_tables"):
-            ExperimentConfig(
-                scenario="baseline_cruise",
-                vehicles=4,
-                backend="vectorised",
-                compile_tables=False,
-            )
-
-    def test_auto_is_always_a_legal_config(self):
-        # auto in a non-eligible regime is not an error -- it resolves
-        # to the object kernel at session time instead.
+    def test_auto_is_legal_at_every_trace_level_and_table_mode(self):
         config = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=4, backend="auto", trace_level="full"
+            scenario="baseline_cruise",
+            vehicles=4,
+            backend="auto",
+            trace_level="full",
+            compile_tables=False,
         )
         assert config.backend == "auto"
 
     def test_backend_round_trips_and_reaches_the_cli(self):
-        config = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=4, backend="auto"
-        )
+        config = ExperimentConfig(scenario="baseline_cruise", vehicles=4, backend="auto")
         as_dict = config.to_dict()
         assert as_dict["backend"] == "auto"
         assert ExperimentConfig.from_dict(as_dict) == config
         arguments = config.cli_arguments()
-        flag = arguments.index("--backend")
-        assert arguments[flag + 1] == "auto"
+        assert arguments[arguments.index("--backend") + 1] == "auto"
 
     def test_throughput_preset_opts_into_auto(self):
-        assert (
-            ExperimentConfig.throughput("baseline_cruise", 8).backend == "auto"
-        )
+        assert ExperimentConfig.throughput("baseline_cruise", 8).backend == "auto"

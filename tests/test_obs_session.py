@@ -188,6 +188,41 @@ class TestWorkerMerge:
         assert snapshot.counter("vehicles.simulated") == 12
 
 
+#: Phases only a pooled run has: they time moving chunks between the
+#: parent and its workers, which an inline run never does.
+TRANSFER_PHASES = {
+    "run.wait",
+    "run.encode",
+    "run.decode",
+    "simulate.decode_specs",
+    "simulate.encode_outcomes",
+}
+
+
+def _phase_names(snapshot: MetricsSnapshot) -> set[str]:
+    return {
+        name[len("phase."):].rsplit(".", 1)[0]
+        for name, _ in snapshot.histograms
+        if name.startswith("phase.")
+    }
+
+
+class TestOnePhaseNameScheme:
+    @pytest.mark.parametrize("backend", ["object", "auto"])
+    def test_inline_and_pooled_runs_record_the_same_phases(self, backend):
+        base = ExperimentConfig(
+            scenario="baseline_cruise", vehicles=16, seed=5, backend=backend
+        )
+        _, inline = _run(base.with_overrides(workers=1))
+        _, pooled = _run(base.with_overrides(workers=2))
+        inline_names, pooled_names = _phase_names(inline), _phase_names(pooled)
+        assert "simulate" in inline_names
+        assert TRANSFER_PHASES <= pooled_names
+        assert inline_names == pooled_names - TRANSFER_PHASES
+        for name in inline_names | pooled_names:
+            assert "simulate.simulate" not in name, name
+
+
 class TestCliMetrics:
     def _run_cli(self, tmp_path, *extra):
         out = tmp_path / "metrics.json"

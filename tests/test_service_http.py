@@ -5,6 +5,7 @@ processes) backs most cases; the shutdown test drives the real CLI in a
 subprocess and asserts SIGTERM exits 0.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ from repro.api.config import ExperimentConfig
 from repro.api.session import FleetSession
 from repro.obs import clock
 from repro.service import ExperimentService, ServiceClient, ServiceError
+from repro.service.server import MAX_BODY_BYTES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -172,6 +174,76 @@ class TestServiceState:
             cancelled = client.cancel(job_id)
             assert cancelled["state"] == "cancelled"
             assert client.job(job_id)["state"] == "cancelled"
+
+
+def _raw_request(service, method, path, headers=(), body=b""):
+    """One request on its own connection: ``(status, json payload)``.
+
+    The body is sent exactly as given, whatever ``Content-Length`` the
+    headers declare -- the point is to lie about it.
+    """
+    host, port = service.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest(method, path, skip_accept_encoding=True)
+        for name, value in headers:
+            connection.putheader(name, value)
+        connection.endheaders(body or None)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHostileInput:
+    """Malformed requests get a 4xx, never a hang, and the service stays up."""
+
+    @pytest.fixture()
+    def idle(self, tmp_path):
+        with ExperimentService(tmp_path / "hostile.db", port=0, drain_workers=0) as idle:
+            yield idle
+
+    def _assert_healthy(self, service):
+        status, payload = _raw_request(service, "GET", "/healthz")
+        assert status == 200 and payload["ok"] is True
+
+    @pytest.mark.parametrize("length", ["-1", "-4096", "twelve", "1.5"])
+    def test_bad_content_length_is_a_400(self, idle, length):
+        status, payload = _raw_request(
+            idle, "POST", "/experiments", [("Content-Length", length)], b"{}"
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        self._assert_healthy(idle)
+
+    def test_oversized_body_is_a_413_without_reading_it(self, idle):
+        # Only the headers are sent: answering means the body was never awaited.
+        status, payload = _raw_request(
+            idle, "POST", "/experiments", [("Content-Length", str(MAX_BODY_BYTES + 1))]
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        self._assert_healthy(idle)
+
+    def test_body_at_the_limit_is_read(self, idle):
+        body = json.dumps({"config": CONFIG.to_dict()}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, payload = _raw_request(
+            idle, "POST", "/experiments", [("Content-Length", str(len(body)))], body
+        )
+        assert status == 202 and payload["state"] == "queued"
+
+    @pytest.mark.parametrize("limit", ["-1", "ten", "2.5", str(1 << 64)])
+    def test_bad_list_limit_is_a_400(self, idle, limit):
+        status, payload = _raw_request(idle, "GET", f"/experiments?limit={limit}")
+        assert status == 400
+        assert "limit" in payload["error"]
+        self._assert_healthy(idle)
+
+    def test_zero_limit_lists_nothing(self, idle):
+        ServiceClient(idle.url).submit(CONFIG)
+        status, payload = _raw_request(idle, "GET", "/experiments?limit=0")
+        assert status == 200 and payload["jobs"] == []
 
 
 class TestCliShutdown:
