@@ -6,10 +6,18 @@ through long-lived warm :class:`~repro.api.session.FleetSession`\\ s, and
 -- because every outcome is a pure function of its config -- identical
 configs are served from a result cache instead of being re-simulated.
 
+The cache is keyed by the *experiment* -- scenario, parameters, fleet
+size, seed, first vehicle id, enforcement -- not by the execution plan
+(workers, trace level, transfer, backend, ...; see
+``repro.api.config.PLAN_FIELDS``), so there is one simulation per
+distinct experiment.
+
 This demo starts a real service (HTTP server + one drain-worker
 process), submits **two identical configs and one distinct one**, and
 shows on the telemetry that exactly two simulations ran: the duplicate
-is a ``service.cache_hits`` increment, not a third run.
+is a ``service.cache_hits`` increment, not a third run.  It then submits
+the first experiment again under the ``throughput`` plan, which is
+served from the cache as well.
 
 Run with::
 
@@ -92,7 +100,29 @@ def main() -> None:
             assert snapshot.counter("service.cache_hits") == 1
             print()
 
-            # 4. Per-vehicle outcomes stream over chunked NDJSON -- same
+            # 4. The same experiment under another plan (4 workers,
+            #    counters-only traces, the outcome memo) is the same
+            #    experiment: same hash, served from the cache.
+            print("== Resubmitting the first experiment under throughput() ==")
+            variant = ExperimentConfig.throughput(
+                CONFIG.scenario, CONFIG.vehicles, seed=CONFIG.seed
+            )
+            planned = client.submit(variant)
+            print(f"  job {planned['id']} hash {planned['config_hash'][:12]}… "
+                  f"cached={planned['cached']}")
+            assert planned["config_hash"] == first["config_hash"]
+            assert planned["cached"]
+            assert (
+                client.result(planned["id"]).fingerprint()
+                == results["first"].fingerprint()
+            )
+            snapshot = client.metrics()
+            assert snapshot.counter("service.runs") == 2
+            assert snapshot.counter("service.cache_hits") == 2
+            print("  same fingerprint, still 2 simulations, 2 cache hits")
+            print()
+
+            # 5. Per-vehicle outcomes stream over chunked NDJSON -- same
             #    bounded-memory contract as FleetSession.iter_outcomes().
             print("== Streaming outcomes for the cached job ==")
             blocked = 0
@@ -102,7 +132,7 @@ def main() -> None:
                   f"{blocked} frames blocked in total")
             print()
 
-            # 5. And the service never bends determinism: a foreground
+            # 6. And the service never bends determinism: a foreground
             #    run of the same config fingerprints identically.
             with FleetSession(CONFIG) as session:
                 direct = session.run()

@@ -36,6 +36,7 @@ fingerprint is identical with or without it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -61,10 +62,6 @@ PROG = "repro"
 
 #: Default endpoint the ``jobs`` client verbs talk to.
 DEFAULT_SERVICE_URL = "http://127.0.0.1:8320"
-
-#: Sentinel distinguishing "--inbox-limit none" (an explicit None) from
-#: the flag not being passed at all.
-_UNSET = object()
 
 
 # ---------------------------------------------------------------------------
@@ -113,41 +110,38 @@ def _parse_chunk_timeout(text: str) -> float | None:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """The flags that map one-to-one onto ExperimentConfig fields.
 
-    Defaults are ``None`` sentinels so only flags the user actually
-    passed override the preset / config-file / dataclass defaults.
+    Each flag's ``dest`` is its field name, and a flag the user did not
+    pass leaves no attribute at all, so only flags actually given
+    override the preset / config-file / dataclass defaults.
     """
-    parser.add_argument("--scenario", help="registered fleet scenario name")
-    parser.add_argument("--vehicles", type=int, help="fleet size")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument(
-        "--first-vehicle-id", type=int, default=None, help="id of the first vehicle"
-    )
-    parser.add_argument(
+
+    def flag(*names: str, **kwargs) -> None:
+        parser.add_argument(*names, default=argparse.SUPPRESS, **kwargs)
+
+    flag("--scenario", help="registered fleet scenario name")
+    flag("--vehicles", type=int, help="fleet size")
+    flag("--seed", type=int, help="master seed (default 0)")
+    flag("--first-vehicle-id", type=int, help="id of the first vehicle")
+    flag(
         "--enforcement",
-        default=None,
         help="fleet-wide enforcement label overriding the scenario mix",
     )
-    parser.add_argument(
+    flag(
         "--trace-level",
         choices=["full", "ring", "counters"],
-        default=None,
         help="bus-trace retention (fingerprints identical across levels)",
     )
-    parser.add_argument(
+    flag(
         "--inbox-limit",
         type=_parse_inbox_limit,
-        default=_UNSET,
         metavar="N|none",
         help="per-node inbox retention ('none' keeps every frame)",
     )
-    parser.add_argument("--workers", type=int, default=None, help="worker processes")
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, help="vehicles per work item"
-    )
-    parser.add_argument(
+    flag("--workers", type=int, help="worker processes")
+    flag("--chunk-size", type=int, help="vehicles per work item")
+    flag(
         "--spec-transfer",
         choices=list(SPEC_TRANSFER_MODES),
-        default=None,
         help=(
             "how spec chunks reach workers: 'shm' moves columnar blocks "
             "through shared memory (default; falls back to pickle where "
@@ -155,10 +149,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             "are identical either way"
         ),
     )
-    parser.add_argument(
+    flag(
         "--backend",
         choices=list(BACKENDS),
-        default=None,
         help=(
             "chunk execution backend: 'object' runs every vehicle through "
             "the object kernel, 'auto' lets vehicles of one chunk with the "
@@ -166,49 +159,46 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             "fingerprints are identical across backends"
         ),
     )
-    parser.add_argument(
+    flag(
         "--reuse-cars",
         action=argparse.BooleanOptionalAction,
-        default=None,
         help="reset one warm car per configuration between vehicles",
     )
-    parser.add_argument(
+    flag(
         "--compile-tables",
         action=argparse.BooleanOptionalAction,
-        default=None,
         help="use compiled bitmask decision tables",
     )
-    parser.add_argument(
+    flag(
         "--max-retries",
+        dest="retry",
         type=int,
-        default=None,
         metavar="N",
         help="re-executions of a failed chunk before giving up (0 disables)",
     )
-    parser.add_argument(
+    flag(
         "--chunk-timeout",
+        dest="chunk_timeout_s",
         type=_parse_chunk_timeout,
-        default=_UNSET,
         metavar="SECONDS|none",
         help=(
             "per-chunk deadline after which the worker counts as dead or "
             "hung and the chunk is re-queued ('none' waits forever)"
         ),
     )
-    parser.add_argument(
+    flag(
         "--degrade",
         action=argparse.BooleanOptionalAction,
-        default=None,
         help=(
             "degrade gracefully (shm->pickle, then parallel->inline) when "
             "retries exhaust, instead of aborting the run"
         ),
     )
-    parser.add_argument(
+    flag(
         "--param",
+        dest="scenario_parameters",
         action="append",
         type=_parse_param,
-        default=None,
         metavar="KEY=VALUE",
         help=(
             "scenario parameter override (VALUE parsed as JSON; repeatable). "
@@ -444,38 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
 # Config resolution
 # ---------------------------------------------------------------------------
 
-#: args attribute -> ExperimentConfig field for the one-to-one flags.
-_FLAG_FIELDS = (
-    ("scenario", "scenario"),
-    ("vehicles", "vehicles"),
-    ("seed", "seed"),
-    ("first_vehicle_id", "first_vehicle_id"),
-    ("enforcement", "enforcement"),
-    ("trace_level", "trace_level"),
-    ("workers", "workers"),
-    ("chunk_size", "chunk_size"),
-    ("spec_transfer", "spec_transfer"),
-    ("backend", "backend"),
-    ("reuse_cars", "reuse_cars"),
-    ("compile_tables", "compile_tables"),
-    ("max_retries", "retry"),
-    ("degrade", "degrade"),
-)
-
-
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Build the ExperimentConfig a ``fleet run``/``config show`` call means."""
-    overrides: dict[str, object] = {}
-    for attr, fieldname in _FLAG_FIELDS:
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[fieldname] = value
-    if args.inbox_limit is not _UNSET:
-        overrides["inbox_limit"] = args.inbox_limit
-    if args.chunk_timeout is not _UNSET:
-        overrides["chunk_timeout_s"] = args.chunk_timeout
-    if args.param:
-        overrides["scenario_parameters"] = dict(args.param)
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(ExperimentConfig)
+        if hasattr(args, field.name)
+    }
+    if "scenario_parameters" in overrides:
+        overrides["scenario_parameters"] = dict(overrides["scenario_parameters"])
 
     if args.config_file:
         if args.preset:

@@ -1,18 +1,19 @@
 """Declarative experiment configuration: one object per fleet run.
 
-The paper's thesis is that *policy is data*; the experiment layer
-applies the same idea to the experiments themselves.  An
-:class:`ExperimentConfig` captures everything that determines a fleet
-run -- scenario, fleet size, seed, enforcement override, trace
-retention, worker count and the pool/compiled-table toggles -- as one
-frozen, validated, JSON-round-trippable value.  A run is then a pure
-function of its config: the same config reproduces the same fleet
-fingerprint from Python (:class:`~repro.api.session.FleetSession`), from
-a sweep (:meth:`~repro.api.session.FleetSession.run_matrix`) or from the
-shell (``python -m repro fleet run``, see :meth:`ExperimentConfig.cli_arguments`).
+The paper keeps *what* is enforced, a policy stored as data, apart from
+the mechanisms that enforce it; the experiment layer does the same for
+experiments.  An :class:`ExperimentConfig` is one frozen, validated,
+JSON-round-trippable value with two parts: the fields named in
+:data:`PLAN_FIELDS` say *how* a run executes, and every other field says
+*what* is simulated -- the experiment.  A run is a pure function of its
+experiment: any plan gives the same fleet fingerprint from Python
+(:class:`~repro.api.session.FleetSession`), from a sweep
+(:meth:`~repro.api.session.FleetSession.run_matrix`) or from the shell
+(``python -m repro fleet run``, see :meth:`ExperimentConfig.cli_arguments`),
+so :meth:`ExperimentConfig.config_hash` digests the experiment alone.
 
-Named presets bundle the three configurations everything else is
-described in terms of:
+Named presets are the three plans everything else is described in
+terms of, so all three share one hash and one fingerprint:
 
 * :meth:`ExperimentConfig.debug` -- single worker, full traces,
   unbounded inboxes, a fresh car per vehicle: everything inspectable.
@@ -20,11 +21,6 @@ described in terms of:
   inboxes, pooled cars, compiled tables, multiprocess: the fast path.
 * :meth:`ExperimentConfig.faithful` -- the pre-optimisation object
   decision path the fast path is validated against.
-
-All three produce bit-identical fleet fingerprints for the same
-(scenario, vehicles, seed) -- the presets move time and memory around,
-never results (the trace-level, pooled-reuse and compiled-table
-equivalence suites prove it).
 """
 
 from __future__ import annotations
@@ -41,13 +37,11 @@ from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
 from repro.fleet.scenarios import ENFORCEMENT_LABELS, _check_keys, _freeze
 from repro.fleet.transfer import SPEC_TRANSFER_MODES
 
-#: ``from_dict`` key sets (everything else is rejected, loudly).
-_REQUIRED_KEYS = ("scenario", "vehicles")
-_OPTIONAL_KEYS = (
-    "seed",
-    "first_vehicle_id",
-    "enforcement",
-    "scenario_parameters",
+#: The execution-plan fields: how a run executes, never what it
+#: simulates (each is proven fingerprint-neutral on every registered
+#: scenario).  :meth:`ExperimentConfig.config_hash` leaves them out, so
+#: every other field -- a future one included -- defines the experiment.
+PLAN_FIELDS = (
     "trace_level",
     "inbox_limit",
     "workers",
@@ -60,6 +54,9 @@ _OPTIONAL_KEYS = (
     "degrade",
     "backend",
 )
+
+#: ``from_dict`` keys without a default (unknown keys are rejected).
+_REQUIRED_KEYS = ("scenario", "vehicles")
 
 #: Valid ``ExperimentConfig.backend`` values: every vehicle through the
 #: object kernel, or the per-chunk outcome memo on top of it.
@@ -100,7 +97,6 @@ PRESETS: dict[str, dict[str, object]] = {
         "chunk_timeout_s": 120.0,
         "degrade": True,
         # Same-behaviour vehicles in a chunk share one kernel run.
-        # Fingerprints are bit-identical either way.
         "backend": "auto",
     },
     "faithful": {
@@ -118,7 +114,10 @@ PRESETS: dict[str, dict[str, object]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that determines one fleet experiment, as one value.
+    """One fleet experiment and the plan that runs it, as one value.
+
+    The fields named in :data:`PLAN_FIELDS` are the plan: each moves
+    time and memory around, never results.
 
     Parameters
     ----------
@@ -145,8 +144,7 @@ class ExperimentConfig:
         their defaults, so for them the overrides are recorded report
         metadata only.
     trace_level:
-        Bus-trace retention for every vehicle (fingerprints are
-        bit-identical across levels).
+        Bus-trace retention for every vehicle.
     inbox_limit:
         Per-node inbox retention (``None`` keeps every received frame).
     workers / chunk_size:
@@ -159,18 +157,12 @@ class ExperimentConfig:
         :mod:`multiprocessing.shared_memory` so only a tiny handle
         crosses the pipe, ``"pickle"`` sends pickled spec lists.
         ``"shm"`` falls back to ``"pickle"`` automatically where shared
-        memory is unavailable; fingerprints are bit-identical across
-        modes, so the field moves bytes and memory around, never
-        results.
+        memory is unavailable.
     reuse_cars / compile_tables:
-        The pool and compiled-decision-table toggles (both default on;
-        fingerprints are identical either way).
+        The pool and compiled-decision-table toggles (both default on).
     retry:
         Times a failed chunk is re-executed before the run gives up on
-        parallel execution of it (``0`` disables retries).  Because
-        every chunk is a pure function of its specs, a retried chunk is
-        bit-identical to the original -- retries move wall time around,
-        never results.
+        parallel execution of it (``0`` disables retries).
     chunk_timeout_s:
         Seconds the parent waits for one chunk before treating its
         worker as dead or hung and re-queueing the chunk (``None``, the
@@ -182,7 +174,6 @@ class ExperimentConfig:
         execution falls back to inline-in-parent -- instead of aborting
         the run.  ``False`` surfaces a
         :class:`~repro.fleet.resilience.ChunkFailedError` instead.
-        Fingerprints are identical along the whole ladder.
     backend:
         Execution backend for chunk simulation.  ``"object"`` (default)
         runs every vehicle through the object kernel.  ``"auto"`` adds a
@@ -190,8 +181,7 @@ class ExperimentConfig:
         seed-independent (every kind except ``fuzz``) and share a
         behaviour key share one kernel run (see
         :func:`repro.fleet.runner._simulate_specs`).  Valid at every
-        trace level and table mode; fingerprints are bit-identical
-        across backends.
+        trace level and table mode.
     """
 
     scenario: str
@@ -215,6 +205,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, str) or not self.scenario.strip():
             raise ValueError("scenario must be a non-empty scenario name")
+        for name, nullable in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and nullable:
+                continue
+            # A float or bool would simulate (or hash) as a different
+            # fleet from the integer it stands for.
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.vehicles < 1:
             raise ValueError("vehicles must be >= 1")
         if self.first_vehicle_id < 0:
@@ -325,25 +323,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "scenario": self.scenario,
-            "vehicles": self.vehicles,
-            "seed": self.seed,
-            "first_vehicle_id": self.first_vehicle_id,
-            "enforcement": self.enforcement,
-            "scenario_parameters": dict(self.scenario_parameters),
-            "trace_level": self.trace_level.value,
-            "inbox_limit": self.inbox_limit,
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "spec_transfer": self.spec_transfer,
-            "reuse_cars": self.reuse_cars,
-            "compile_tables": self.compile_tables,
-            "retry": self.retry,
-            "chunk_timeout_s": self.chunk_timeout_s,
-            "degrade": self.degrade,
-            "backend": self.backend,
-        }
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["scenario_parameters"] = dict(self.scenario_parameters)
+        data["trace_level"] = self.trace_level.value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -362,27 +345,35 @@ class ExperimentConfig:
     def canonical_json(self) -> str:
         """The *canonical* JSON form: sorted keys, no whitespace.
 
-        The unique serialisation :meth:`config_hash` digests.  Two
-        configs have the same canonical JSON iff they are equal, however
-        their dict forms were ordered and however many ``to_dict`` /
-        ``from_dict`` round trips they took (``__post_init__``
-        canonicalises parameter values on every construction).
+        Two configs have the same canonical JSON iff they are equal,
+        however their dict forms were ordered and however many
+        ``to_dict`` / ``from_dict`` round trips they took
+        (``__post_init__`` canonicalises parameter values on every
+        construction).  The experiment service stores each job's full
+        config, plan included, in this form; :meth:`config_hash` covers
+        only the experiment.
         """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), default=list
-        )
+        return _canonical(self.to_dict())
 
     def config_hash(self) -> str:
-        """SHA-256 hex digest of :meth:`canonical_json`.
+        """SHA-256 hex digest of the canonical JSON of the experiment:
+        every field except the :data:`PLAN_FIELDS` (``trace_level``,
+        ``inbox_limit``, ``workers``, ``chunk_size``, ``spec_transfer``,
+        ``reuse_cars``, ``compile_tables``, ``retry``,
+        ``chunk_timeout_s``, ``degrade``, ``backend``).
 
-        The experiment service's dedup key: runs are pure functions of
-        their config, so equal hashes mean bit-identical
-        :class:`~repro.fleet.results.FleetResult` fingerprints and the
-        cached result can be served without simulating.  Stable across
-        processes, dict key orderings and serialisation round trips --
-        pinned by the hash-invariance tests.
+        The experiment service's dedup key, so it runs one simulation
+        per distinct experiment: equal hashes mean bit-identical
+        :class:`~repro.fleet.results.FleetResult` fingerprints under any
+        plan.  Stable across processes, dict key orderings and
+        serialisation round trips.
         """
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        experiment = {
+            key: value
+            for key, value in self.to_dict().items()
+            if key not in PLAN_FIELDS
+        }
+        return hashlib.sha256(_canonical(experiment).encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -446,3 +437,15 @@ class ExperimentConfig:
     def cli_command(self) -> str:
         """The full shell command reproducing this config (shell-quoted)."""
         return "python -m repro " + shlex.join(self.cli_arguments())
+
+
+def _canonical(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), default=list)
+
+
+_FIELDS = dataclasses.fields(ExperimentConfig)
+_OPTIONAL_KEYS = tuple(f.name for f in _FIELDS if f.name not in _REQUIRED_KEYS)
+#: Integer-typed field -> whether ``None`` is allowed too.
+_INT_FIELDS = {
+    f.name: f.type == "int | None" for f in _FIELDS if f.type in ("int", "int | None")
+}

@@ -363,18 +363,18 @@ class FleetSession:
         of overrides applied to the session's base config.  Entries run
         sequentially but share the session's builder, car pools and
         worker processes, so the policy derivation and car construction
-        cost is paid once for the whole sweep.  Consecutive entries that
-        describe the same fleet -- same (scenario, parameters, vehicles,
-        seed, first_vehicle_id, enforcement), e.g. a worker-count or
-        trace-level sweep -- also reuse one recorded spec stream, so
-        spec generation is paid once per distinct fleet rather than per
-        entry.  Recording is bounded by :attr:`SPEC_CACHE_LIMIT`:
-        fleets beyond it run lazily without reuse, so sweeps keep the
-        parent O(chunk) at any scale.  Returns ``(config, result)``
-        pairs in execution order.
+        cost is paid once for the whole sweep.  Consecutive entries of
+        the same experiment -- same
+        :meth:`~repro.api.config.ExperimentConfig.config_hash`, e.g. a
+        worker-count or trace-level sweep -- also reuse one recorded
+        spec stream, so spec generation is paid once per distinct
+        experiment rather than per entry.  Recording is bounded by
+        :attr:`SPEC_CACHE_LIMIT`: fleets beyond it run lazily without
+        reuse, so sweeps keep the parent O(chunk) at any scale.  Returns
+        ``(config, result)`` pairs in execution order.
         """
         results: list[tuple[ExperimentConfig, FleetResult]] = []
-        cached_key: tuple | None = None
+        cached_key: str | None = None
         cached_specs: list[VehicleSpec] = []
         for entry in configs:
             config = (
@@ -387,7 +387,7 @@ class FleetSession:
                     "run_matrix entries must be ExperimentConfig objects or "
                     f"override dicts, not {type(entry).__name__}"
                 )
-            key = self._spec_stream_key(config)
+            key = config.config_hash()
             record: dict | None = None
             if key == cached_key:
                 source: Iterable[VehicleSpec] = cached_specs
@@ -410,18 +410,6 @@ class FleetSession:
         return results
 
     # -- internals ------------------------------------------------------------
-
-    @staticmethod
-    def _spec_stream_key(config: ExperimentConfig) -> tuple:
-        """Everything the spec stream is a function of (and nothing else)."""
-        return (
-            config.scenario,
-            config.scenario_parameters,
-            config.vehicles,
-            config.seed,
-            config.first_vehicle_id,
-            config.enforcement,
-        )
 
     @classmethod
     def _recording_stream(

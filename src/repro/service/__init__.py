@@ -10,23 +10,30 @@ This package turns that into a load-balancing problem instead:
   ``queued -> leased -> done | failed | cancelled`` state machine, and a
   ``results`` table caching JSON-serialised
   :class:`~repro.fleet.results.FleetResult` values keyed by
-  :meth:`~repro.api.config.ExperimentConfig.config_hash`.
+  :meth:`~repro.api.config.ExperimentConfig.config_hash`, which covers
+  the experiment and leaves out the execution-plan fields
+  (:data:`~repro.api.config.PLAN_FIELDS`: ``trace_level``,
+  ``inbox_limit``, ``workers``, ``chunk_size``, ``spec_transfer``,
+  ``reuse_cars``, ``compile_tables``, ``retry``, ``chunk_timeout_s``,
+  ``degrade``, ``backend``).
 * :mod:`repro.service.queue` -- lease/ack semantics with lease expiry:
   a job held by a crashed worker is requeued once its lease lapses,
   with :class:`~repro.fleet.resilience.RetryPolicy` attempt accounting
   and deterministic backoff.
 * :mod:`repro.service.worker` -- drain workers executing jobs through
-  one long-lived warm session each, with **dedup**: an identical config
-  hash is served the cached result bit-identically, never re-simulated.
+  one long-lived warm session each, with **dedup**: one simulation per
+  distinct experiment -- a repeat, or the same experiment under another
+  plan, is served the cached result bit-identically, never re-simulated.
 * :mod:`repro.service.server` / :mod:`repro.service.client` -- a stdlib
   ``http.server`` endpoint (submit, inspect, chunked NDJSON outcome
   streaming, Prometheus ``/metrics``) and the small Python client.
 
-Determinism is what makes the whole design safe: an experiment is a
-pure function of its config, so the config-hash result cache can answer
-repeated submissions without simulating, a requeued job re-executes
-bit-identically on any surviving worker, and every delivered result is
-fingerprint-equal to a foreground run of the same config.
+Determinism is what makes the whole design safe: a run is a pure
+function of its experiment, whatever the plan, so the config-hash
+result cache can answer repeated submissions without simulating, a
+requeued job re-executes bit-identically on any surviving worker, and
+every delivered result is fingerprint-equal to a foreground run of the
+same config.
 """
 
 from repro.service.client import ServiceClient, ServiceError

@@ -18,11 +18,15 @@ job id, so the schedule replays exactly -- ambient randomness never
 enters the service either).
 
 Dedup shapes the lease order too: a queued job whose config hash is
-currently leased to another job is skipped, so two identical
-submissions can never simulate concurrently -- the second waits out the
-first and is then served from the result cache.  That is what makes
-"exactly one simulation per distinct config" a hard invariant rather
-than a fast-path heuristic.
+currently leased to another job is skipped, so two submissions of one
+experiment can never simulate concurrently -- the second waits out the
+first and is then served from the result cache.  The hash leaves out
+the execution-plan fields (:data:`~repro.api.config.PLAN_FIELDS`:
+``trace_level``, ``inbox_limit``, ``workers``, ``chunk_size``,
+``spec_transfer``, ``reuse_cars``, ``compile_tables``, ``retry``,
+``chunk_timeout_s``, ``degrade``, ``backend``), so the same holds across
+plans.  That is what makes "one simulation per distinct experiment" a
+hard invariant rather than a fast-path heuristic.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from repro.obs import clock
 from repro.obs.export import MetricsSnapshot, merge_snapshots, to_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import JobQueue
-from repro.service.store import JOB_STATES, ServiceStore
+from repro.service.store import SQLITE_INT_MAX, ServiceStore
 from repro.service.worker import DrainWorker
 
 _JSON = "application/json"
@@ -51,7 +51,11 @@ _NDJSON = "application/x-ndjson"
 MAX_BODY_BYTES = 1 << 20
 
 #: Largest ``?limit=`` a job listing accepts: SQLite's integer range.
-MAX_LIST_LIMIT = (1 << 63) - 1
+MAX_LIST_LIMIT = SQLITE_INT_MAX
+
+#: Seconds one socket read or write of a request may block, so a silent
+#: client is disconnected instead of holding a handler thread forever.
+REQUEST_TIMEOUT_S = 30.0
 
 
 class _BodyTooLarge(ValueError):
@@ -261,6 +265,10 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     @property
+    def timeout(self) -> float:  # read by StreamRequestHandler.setup
+        return REQUEST_TIMEOUT_S
+
+    @property
     def service(self) -> ExperimentService:
         return self.server.service  # type: ignore[attr-defined]
 
@@ -383,8 +391,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         job, cached = self.service.store.submit(
             config,
-            priority=int(data.get("priority", 0)),
-            max_attempts=int(data.get("max_attempts", 3)),
+            priority=data.get("priority", 0),
+            max_attempts=data.get("max_attempts", 3),
         )
         self.service.registry.inc("service.submissions")
         payload = job.to_payload()

@@ -44,6 +44,9 @@ from repro.obs import clock
 #: states are reachable only through the transitions below.
 JOB_STATES = ("queued", "leased", "done", "failed", "cancelled")
 
+#: SQLite's INTEGER range (signed 64-bit).
+SQLITE_INT_MIN, SQLITE_INT_MAX = -(1 << 63), (1 << 63) - 1
+
 #: Legal state transitions (enforced by :meth:`ServiceStore.transition`).
 _TRANSITIONS: dict[str, tuple[str, ...]] = {
     "queued": ("leased", "cancelled"),
@@ -224,8 +227,15 @@ class ServiceStore:
                 f"config must be an ExperimentConfig or dict, "
                 f"not {type(config).__name__}"
             )
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        for name, value, low in (
+            ("priority", priority, SQLITE_INT_MIN),
+            ("max_attempts", max_attempts, 1),
+        ):
+            if type(value) is not int or not low <= value <= SQLITE_INT_MAX:
+                raise ValueError(
+                    f"{name} must be an integer in [{low}, {SQLITE_INT_MAX}], "
+                    f"not {value!r}"
+                )
         config_hash = config.config_hash()
         now = self._now()
         with self.transaction() as conn:
@@ -241,8 +251,8 @@ class ServiceStore:
                 (
                     config_hash,
                     config.canonical_json(),
-                    int(priority),
-                    int(max_attempts),
+                    priority,
+                    max_attempts,
                     now,
                 ),
             )

@@ -7,9 +7,14 @@ two ways:
 
 * **cache hit** -- the job's config hash already has a row in the
   ``results`` table, so the stored :class:`~repro.fleet.results.FleetResult`
-  *is* the answer (determinism: same config, same bits).  The worker
-  acks the job done without simulating anything and counts
-  ``service.cache_hits``.
+  *is* the answer (determinism: same experiment, same bits, under any
+  plan -- the hash leaves out the
+  :data:`~repro.api.config.PLAN_FIELDS` ``trace_level``,
+  ``inbox_limit``, ``workers``, ``chunk_size``, ``spec_transfer``,
+  ``reuse_cars``, ``compile_tables``, ``retry``, ``chunk_timeout_s``,
+  ``degrade`` and ``backend``).  The worker acks the job done without
+  simulating anything and counts ``service.cache_hits``: one simulation
+  per distinct experiment.
 * **cache miss** -- the job runs through the worker's one long-lived
   warm :class:`~repro.api.session.FleetSession`
   (:meth:`~repro.api.session.FleetSession.run_config`), the result is

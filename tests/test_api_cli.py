@@ -213,6 +213,14 @@ class TestFleetRun:
         )
         assert "enforcement label" in capsys.readouterr().err
 
+    def test_non_integer_config_file_field_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        config = {"scenario": "mixed_ev_dos", "vehicles": 6, "seed": 1.0}
+        path.write_text(json.dumps(config))
+        assert run_cli("fleet", "run", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "repro: error: seed must be an integer, not 1.0"
+
     def test_bad_param_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(

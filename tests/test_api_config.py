@@ -1,6 +1,8 @@
 """Tests for :class:`repro.api.config.ExperimentConfig`: validation,
 presets, serialisation round trips and the CLI-equivalence surface."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.cli import build_parser
-from repro.api.config import PRESETS, ExperimentConfig
+from repro.api.config import PLAN_FIELDS, PRESETS, ExperimentConfig
 from repro.can.trace import TraceLevel
 from repro.core.enforcement import EnforcementConfig
 from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
@@ -41,6 +43,24 @@ class TestValidation:
         kwargs = {"scenario": "fleet_replay_storm", "vehicles": 10, **overrides}
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["vehicles", "seed", "first_vehicle_id", "workers",
+                  "chunk_size", "inbox_limit", "retry"],
+    )
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        if value is None and field in ("chunk_size", "inbox_limit"):
+            return  # None is their documented "unbounded / auto" value
+        kwargs = {"scenario": "mixed_ev_dos", "vehicles": 6, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(**kwargs)
+
+    def test_float_seed_is_not_a_second_experiment(self):
+        # seed=1.0 once simulated a different fleet under a different hash.
+        data = {"scenario": "mixed_ev_dos", "vehicles": 6, "seed": 1.0}
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentConfig.from_json(json.dumps(data))
 
     def test_empty_scenario_raises(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -249,16 +269,59 @@ class TestConfigHash:
         b = ExperimentConfig(scenario="mixed_ev_dos", vehicles=10, seed=4)
         assert a.config_hash() == b.config_hash()
 
-    def test_any_field_change_changes_the_hash(self):
+    def test_every_experiment_field_changes_the_hash(self):
         base = ExperimentConfig(scenario="mixed_ev_dos", vehicles=10)
-        for override in (
-            {"vehicles": 11},
-            {"seed": 1},
-            {"workers": 2},
-            {"enforcement": "hpe-only"},
-            {"scenario_parameters": {"frames": 9}},
-        ):
-            assert base.with_overrides(**override).config_hash() != base.config_hash()
+        changes = {
+            "scenario": "fleet_replay_storm",
+            "vehicles": 11,
+            "seed": 1,
+            "first_vehicle_id": 5,
+            "enforcement": "hpe-only",
+            "scenario_parameters": {"frames": 9},
+        }
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(changes) == fields - set(PLAN_FIELDS)
+        for name, value in changes.items():
+            changed = base.with_overrides(**{name: value})
+            assert changed.config_hash() != base.config_hash(), name
+
+    def test_plan_fields_are_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(PLAN_FIELDS) <= fields
+        assert len(set(PLAN_FIELDS)) == len(PLAN_FIELDS)
+
+    def test_presets_only_set_plan_fields(self):
+        for name, overrides in PRESETS.items():
+            assert set(overrides) <= set(PLAN_FIELDS), name
+
+    def test_every_preset_shares_one_hash(self):
+        base = ExperimentConfig(scenario="mixed_ev_dos", vehicles=500, seed=2018)
+        variants = [
+            ExperimentConfig.preset(name, "mixed_ev_dos", 500, seed=2018)
+            for name in PRESETS
+        ]
+        variants.append(
+            ExperimentConfig.throughput("mixed_ev_dos", 500, seed=2018, workers=1)
+        )
+        assert {config.config_hash() for config in variants} == {base.config_hash()}
+
+    def test_rows_under_the_full_config_hash_are_never_served(self, tmp_path):
+        # Results cached before the hash covered only the experiment
+        # were keyed by the digest of the full canonical JSON.  No
+        # submission may be answered from such a row.
+        from repro.fleet.results import FleetAggregator
+        from repro.service.store import ServiceStore
+
+        config = ExperimentConfig(scenario="mixed_ev_dos", vehicles=10, seed=3)
+        full_config_hash = hashlib.sha256(
+            config.canonical_json().encode("utf-8")
+        ).hexdigest()
+        with ServiceStore(tmp_path / "store.db") as store:
+            store.store_result(full_config_hash, FleetAggregator("mixed_ev_dos").result())
+            job, cached = store.submit(config)
+            assert not cached
+            assert job.config_hash != full_config_hash
+            assert store.result_for(job.config_hash) is None
 
     def test_hash_invariant_to_dict_key_order(self):
         config = ExperimentConfig(

@@ -1,41 +1,18 @@
-"""Fleet-level equivalence across trace retention levels.
+"""Trace retention levels and bounded inboxes at the config and
+single-vehicle level.
 
-The fleet fingerprint covers every deterministic per-vehicle field; the
-tentpole contract is that the trace retention level (and the bounded
-inbox that rides along with it) changes only where time and memory go,
-never what the simulation computes.
+Their fleet-level fingerprint neutrality is one case of the
+registry-wide plan property in ``test_plan_neutrality.py``.
 """
 
 import pytest
 
 from repro.can.trace import TraceLevel
-from repro.api import ExperimentConfig, FleetSession
+from repro.api import ExperimentConfig
 from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT, simulate_vehicle
 from repro.fleet.scenarios import get_scenario
 
 SEED = 77
-VEHICLES = 6
-
-
-@pytest.mark.parametrize("scenario", ["fleet_replay_storm", "mixed_ev_dos"])
-def test_fleet_fingerprint_identical_across_trace_levels(scenario):
-    results = {}
-    for level in TraceLevel:
-        config = ExperimentConfig(
-            scenario=scenario, vehicles=VEHICLES, seed=SEED, workers=1, trace_level=level
-        )
-        with FleetSession(config) as session:
-            results[level] = session.run()
-    fingerprints = {r.fingerprint() for r in results.values()}
-    assert len(fingerprints) == 1
-    reference = results[TraceLevel.FULL]
-    for result in results.values():
-        assert result.frames_transmitted == reference.frames_transmitted
-        assert result.frames_blocked == reference.frames_blocked
-        assert result.attacks_attempted == reference.attacks_attempted
-        assert result.attacks_mitigated == reference.attacks_mitigated
-        assert result.latency_p50_s == reference.latency_p50_s
-        assert result.latency_p99_s == reference.latency_p99_s
 
 
 def test_config_accepts_string_trace_level():

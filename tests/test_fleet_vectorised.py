@@ -4,10 +4,11 @@ The memo's contract is outcome-exactness: every deterministic field of
 every outcome equals what the memo-off path (one kernel run per
 vehicle) produces for the same spec.  These tests assert it on every
 registered scenario through the spec-list and columnar SpecBlock entry
-points, on hand-built and hypothesis-generated chunks, and end to end
-through sessions at 1 and 4 workers in both transfer modes.  The
-declared seed-independence of each action kind -- what makes the memo
-sound -- is checked kind by kind under two seeds.
+points and on hand-built and hypothesis-generated chunks; end to end
+through sessions, ``backend`` is one field of the plan property in
+``test_plan_neutrality.py``.  The declared seed-independence of each
+action kind -- what makes the memo sound -- is checked kind by kind
+under two seeds.
 """
 
 import dataclasses
@@ -338,24 +339,6 @@ class TestParityGate:
 
 
 class TestSessionBackends:
-    @pytest.mark.parametrize("transfer", ["shm", "pickle"])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_fingerprints_identical_on_every_scenario(self, transfer, workers):
-        for name in SCENARIO_NAMES:
-            fingerprints = {}
-            for backend in ("object", "auto"):
-                config = ExperimentConfig(
-                    scenario=name,
-                    vehicles=12,
-                    seed=2018,
-                    workers=workers,
-                    spec_transfer=transfer,
-                    backend=backend,
-                )
-                with FleetSession(config) as session:
-                    fingerprints[backend] = session.run().fingerprint()
-            assert fingerprints["object"] == fingerprints["auto"], (name, workers, transfer)
-
     def test_all_fallback_scenario_still_exact_under_auto(self, kernel_runs):
         fingerprints = {}
         for backend in ("object", "auto"):

@@ -9,6 +9,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import urllib.request
@@ -20,6 +21,7 @@ from repro.api.config import ExperimentConfig
 from repro.api.session import FleetSession
 from repro.obs import clock
 from repro.service import ExperimentService, ServiceClient, ServiceError
+from repro.service import server
 from repro.service.server import MAX_BODY_BYTES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -238,6 +240,50 @@ class TestHostileInput:
         status, payload = _raw_request(idle, "GET", f"/experiments?limit={limit}")
         assert status == 400
         assert "limit" in payload["error"]
+        self._assert_healthy(idle)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vehicles", 2.5), ("vehicles", True), ("seed", 1.0), ("workers", 2.0)],
+    )
+    def test_non_integer_config_field_is_a_400(self, idle, field, value):
+        body = json.dumps({"config": {**CONFIG.to_dict(), field: value}}).encode()
+        status, payload = _raw_request(
+            idle, "POST", "/experiments", [("Content-Length", str(len(body)))], body
+        )
+        assert status == 400
+        assert f"{field} must be an integer" in payload["error"]
+        self._assert_healthy(idle)
+
+    @pytest.mark.parametrize("field", ["priority", "max_attempts"])
+    @pytest.mark.parametrize(
+        "value",
+        ["1e400", "-1e400", str(1 << 63), str(-(1 << 63) - 1), "1.5", "true", '"3"'],
+    )
+    def test_out_of_range_job_integer_is_a_400(self, idle, field, value):
+        body = (
+            b'{"config": ' + json.dumps(CONFIG.to_dict()).encode()
+            + f', "{field}": {value}}}'.encode()
+        )
+        status, payload = _raw_request(
+            idle, "POST", "/experiments", [("Content-Length", str(len(body)))], body
+        )
+        assert status == 400
+        assert field in payload["error"]
+        self._assert_healthy(idle)
+
+    def test_job_integers_at_the_sqlite_bounds_are_accepted(self, idle):
+        client = ServiceClient(idle.url)
+        job = client.submit(CONFIG, priority=(1 << 63) - 1, max_attempts=(1 << 63) - 1)
+        assert job["priority"] == (1 << 63) - 1
+        job = client.submit(CONFIG, priority=-(1 << 63))
+        assert job["priority"] == -(1 << 63)
+
+    def test_silent_client_is_disconnected(self, idle, monkeypatch):
+        monkeypatch.setattr(server, "REQUEST_TIMEOUT_S", 0.2)
+        with socket.create_connection(idle.address, timeout=10) as silent:
+            # Send nothing: the server must close its end, not wait forever.
+            assert silent.recv(1024) == b""
         self._assert_healthy(idle)
 
     def test_zero_limit_lists_nothing(self, idle):

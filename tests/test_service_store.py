@@ -85,6 +85,16 @@ class TestSubmit:
         with pytest.raises(ValueError, match="max_attempts"):
             store.submit(config(), max_attempts=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("priority", 1 << 63), ("priority", -(1 << 63) - 1), ("priority", 1.0),
+         ("priority", True), ("max_attempts", 1 << 63), ("max_attempts", float("inf"))],
+    )
+    def test_submit_rejects_job_integers_outside_sqlite(self, store, field, value):
+        with pytest.raises(ValueError, match=field):
+            store.submit(config(), **{field: value})
+        assert store.counts()["queued"] == 0
+
     def test_cached_flag_reflects_result_cache(self, store):
         cfg = config()
         store.store_result(cfg.config_hash(), make_result())

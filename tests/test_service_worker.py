@@ -49,6 +49,25 @@ class TestDrain:
         assert store.counts()["done"] == 3
         assert store.cache_stats() == {"entries": 2, "hits": 1}
 
+    def test_one_simulation_per_experiment_across_plans(self, store):
+        experiment = (CONFIG.scenario, CONFIG.vehicles)
+        plans = [
+            ExperimentConfig.debug(*experiment, seed=CONFIG.seed),
+            ExperimentConfig.throughput(*experiment, seed=CONFIG.seed),
+            ExperimentConfig.throughput(*experiment, seed=CONFIG.seed, workers=1),
+        ]
+        jobs = [store.submit(config)[0] for config in plans]
+        assert len({job.config_hash for job in jobs}) == 1
+        with DrainWorker(store, name="w0") as worker:
+            assert worker.drain() == 3
+        snapshot = worker.registry.snapshot()
+        assert snapshot.counter("service.runs") == 1
+        assert snapshot.counter("service.cache_hits") == 2
+        # Each job still replays the plan it was submitted under.
+        assert [store.job(job.id).config_object() for job in jobs] == plans
+        cached = store.result_for(CONFIG.config_hash())
+        assert cached.fingerprint() == foreground_fingerprint(CONFIG)
+
     def test_cached_result_is_bit_identical_to_foreground(self, store):
         store.submit(CONFIG)
         with DrainWorker(store, name="w0") as worker:
