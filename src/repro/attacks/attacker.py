@@ -28,12 +28,18 @@ class MaliciousNode:
     car:
         The vehicle whose bus the node is attached to.
     name:
-        Diagnostic name of the rogue node.
+        Diagnostic name of the rogue node.  When a node of that name is
+        already attached (a script repeating an attack), the node takes
+        the first free name of ``name-2``, ``name-3``, ...
     """
 
     def __init__(self, car: ConnectedCar, name: str = "MaliciousNode") -> None:
         self.car = car
-        self.node = CANNode(name)
+        taken = set(car.bus.node_names())
+        unique, suffix = name, 2
+        while unique in taken:
+            unique, suffix = f"{name}-{suffix}", suffix + 1
+        self.node = CANNode(unique)
         # The attacker's own node performs no filtering in either direction.
         self.node.controller.rx_filters.set_default_accept()
         self.node.controller.tx_filters.set_default_accept()

@@ -196,23 +196,16 @@ class CANBus:
         trace = self.trace
         counting = trace._records is None
         can_id = frame.can_id
-        # Local aliases for the trace's counter structures: the
+        # Local aliases for the trace's two count tables: the
         # TRANSMITTED event and the fused delivery loop below update
-        # them directly (same arithmetic as BusTrace.count_only) so no
+        # them directly (same arithmetic as BusTrace.record) so no
         # per-event call is made at all.
         kind_counts = trace._kind_counts
-        node_counts = trace._node_counts
-        id_counts = trace._id_counts.get(can_id)
-        if id_counts is None:
-            id_counts = trace._id_counts[can_id] = {}
+        counts = trace._counts
         if counting:
-            trace._total += 1
             kind_counts[_TRANSMITTED_V] = kind_counts.get(_TRANSMITTED_V, 0) + 1
-            per_node = node_counts.get(sender)
-            if per_node is None:
-                per_node = node_counts[sender] = {}
-            per_node[_TRANSMITTED_V] = per_node.get(_TRANSMITTED_V, 0) + 1
-            id_counts[_TRANSMITTED_V] = id_counts.get(_TRANSMITTED_V, 0) + 1
+            key = (_TRANSMITTED_V, sender, can_id)
+            counts[key] = counts.get(key, 0) + 1
         else:
             trace.record(
                 self.scheduler.now, TraceEventKind.TRANSMITTED, frame, node=sender
@@ -225,7 +218,7 @@ class CANBus:
         # engine holds a compiled decision table (see
         # :mod:`repro.core.compiled`) and the trace is counters-only,
         # the whole receive path -- transceiver, permit probe, software
-        # acceptance filter, per-node/per-id trace counters -- runs
+        # acceptance filter, the trace's two count tables -- runs
         # fused in this loop: the enforcement decision is one bitmask
         # probe and no per-delivery call chain is built.  Counter
         # effects are bit-identical to the object path
@@ -283,24 +276,18 @@ class CANBus:
                 else:
                     controller.frames_rejected += 1
                     node.counters.receive_blocked_by_filter += 1
-                    trace._blocked += 1
                     value = _BLOCKED_READ_FILTER_V
                     hook = node.hooks.on_receive_blocked
                     blocked_reason = "software-filter"
             else:
                 block.blocks += 1
                 node.counters.receive_blocked_by_policy += 1
-                trace._blocked += 1
                 value = _BLOCKED_READ_POLICY_V
                 hook = node.hooks.on_receive_blocked
                 blocked_reason = "policy-engine"
-            trace._total += 1
             kind_counts[value] = kind_counts.get(value, 0) + 1
-            per_node = node_counts.get(name)
-            if per_node is None:
-                per_node = node_counts[name] = {}
-            per_node[value] = per_node.get(value, 0) + 1
-            id_counts[value] = id_counts.get(value, 0) + 1
+            key = (value, name, can_id)
+            counts[key] = counts.get(key, 0) + 1
             if hook is not None:
                 if blocked_reason is None:
                     hook(frame)

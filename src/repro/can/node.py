@@ -22,9 +22,6 @@ from repro.can.frame import MAX_STANDARD_ID, CANFrame
 from repro.can.trace import TraceEventKind
 from repro.can.transceiver import CANTransceiver
 
-#: Event-kind value string for the fused submit fast path.
-_SUBMITTED_V = TraceEventKind.SUBMITTED.value
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.can.bus import CANBus
 
@@ -214,14 +211,11 @@ class CANNode:
             raise NodeDetachedError(f"node {self.name!r} is not attached to a bus")
         if frame.source != self.name:
             frame = frame.with_source(self.name)
-        trace = bus.trace
         can_id = frame.can_id
-        name = self.name
-        if trace._records is None:
-            # Counters-only retention: no record object, no timestamp.
-            trace.count_only(_SUBMITTED_V, name, can_id)
-        else:
-            trace.record(bus.scheduler.now, TraceEventKind.SUBMITTED, frame, node=name)
+        # _now: bypass the property on the per-frame fast path.
+        bus.trace.record(
+            bus.scheduler._now, TraceEventKind.SUBMITTED, frame, node=self.name
+        )
 
         # 1. Software transmit gate (firmware-level; bypassed when
         #    compromised).  The compiled acceptance bitset, when present,

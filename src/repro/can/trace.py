@@ -11,21 +11,26 @@ Retention levels
 ----------------
 
 At fleet scale the per-frame record objects dominate memory and
-allocation cost, so :class:`BusTrace` keeps *always-on O(1) aggregate
-counters* (total, per event kind, per node, per frame identifier) and
-makes the record list itself optional:
+allocation cost, so :class:`BusTrace` keeps two *always-on count
+tables* and makes the record list itself optional.  The tables are
+events per kind (in first-occurrence order) and events per
+``(kind, node, frame identifier)``; every other count is derived from
+them.  The levels are:
 
 * :attr:`TraceLevel.FULL` -- every record is kept (the single-vehicle
   debugging default; today's historical behaviour).
 * :attr:`TraceLevel.RING` -- only the most recent ``ring_size`` records
-  are kept in a bounded deque; counters still cover the whole run.
+  are kept in a bounded deque; the count tables still cover the whole run.
 * :attr:`TraceLevel.COUNTERS` -- no record objects are allocated at
   all; every count-based query still works, bit-identically.
 
-All count-based queries (:meth:`BusTrace.count`, :meth:`~BusTrace.summary`,
-:meth:`~BusTrace.blocked_count`, :meth:`~BusTrace.count_for_node`,
-:meth:`~BusTrace.count_for_frame_id`, ``len(trace)``) are served from
-the counters and therefore agree exactly across all three levels.
+All count-based queries are served from the tables and therefore agree
+exactly across all three levels.  :meth:`BusTrace.count`,
+:meth:`~BusTrace.summary`, :meth:`~BusTrace.blocked_count`,
+:meth:`~BusTrace.policy_block_count` and ``len(trace)`` read the per-kind
+table in O(kinds); :meth:`~BusTrace.count_for_node` and
+:meth:`~BusTrace.count_for_frame_id` sum over the keyed table (the
+fleet layer calls only the latter, once per flood attack).
 Record-returning queries (:meth:`~BusTrace.of_kind`, ...) see only the
 retained window.
 """
@@ -71,17 +76,17 @@ BLOCKED_KINDS = frozenset(
     }
 )
 
-#: String values of :data:`BLOCKED_KINDS` -- the counter fast path keys
-#: on value strings because ``Enum.__hash__`` is a Python-level call.
+#: String values of :data:`BLOCKED_KINDS` -- the count tables key on
+#: value strings because ``Enum.__hash__`` is a Python-level call.
 _BLOCKED_VALUES = frozenset(kind.value for kind in BLOCKED_KINDS)
 
 
 class TraceLevel(Enum):
     """How much per-event state a :class:`BusTrace` retains."""
 
-    FULL = "full"          # unbounded record list (plus counters)
-    RING = "ring"          # bounded deque of the last N records (plus counters)
-    COUNTERS = "counters"  # counters only; no record objects at all
+    FULL = "full"          # unbounded record list (plus count tables)
+    RING = "ring"          # bounded deque of the last N records (plus count tables)
+    COUNTERS = "counters"  # count tables only; no record objects at all
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -114,7 +119,7 @@ class TraceRecord:
 
 
 class BusTrace:
-    """An append-only event trace with always-on O(1) aggregate counters.
+    """An append-only event trace with two always-on count tables.
 
     Parameters
     ----------
@@ -141,14 +146,14 @@ class BusTrace:
             self._records = deque(maxlen=ring_size)
         else:
             self._records = None
-        self._total = 0
-        # All counter dicts key on TraceEventKind *values* (strings):
-        # string hashes are cached C-level, enum hashing is a Python
-        # call -- a 2x difference on the record() fast path.
+        # Both tables key on TraceEventKind *values* (strings): string
+        # hashes are cached C-level, enum hashing is a Python call -- a
+        # 2x difference on the record() fast path.  The fused delivery
+        # loop in CANBus._complete_transmission updates them inline with
+        # the same arithmetic as record(); a change here must be
+        # mirrored there.
         self._kind_counts: dict[str, int] = {}
-        self._node_counts: dict[str, dict[str, int]] = {}
-        self._id_counts: dict[int, dict[str, int]] = {}
-        self._blocked = 0
+        self._counts: dict[tuple[str, str, int], int] = {}
 
     def record(
         self,
@@ -163,59 +168,23 @@ class BusTrace:
         Returns the appended :class:`TraceRecord`, or ``None`` at
         :attr:`TraceLevel.COUNTERS` (no record object exists).
         """
-        self._total += 1
         value = kind._value_  # bypass the DynamicClassAttribute property
         kind_counts = self._kind_counts
         kind_counts[value] = kind_counts.get(value, 0) + 1
-        node_counts = self._node_counts.get(node)
-        if node_counts is None:
-            node_counts = self._node_counts[node] = {}
-        node_counts[value] = node_counts.get(value, 0) + 1
-        can_id = frame.can_id
-        id_counts = self._id_counts.get(can_id)
-        if id_counts is None:
-            id_counts = self._id_counts[can_id] = {}
-        id_counts[value] = id_counts.get(value, 0) + 1
-        if value in _BLOCKED_VALUES:
-            self._blocked += 1
+        key = (value, node, frame.can_id)
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + 1
         if self._records is None:
             return None
         entry = TraceRecord(time=time, kind=kind, frame=frame, node=node, detail=detail)
         self._records.append(entry)
         return entry
 
-    def count_only(self, value: str, node: str, can_id: int) -> None:
-        """Counter-only recording for the fused fleet data path.
-
-        Identical counter effects to :meth:`record` for the event-kind
-        *value* string, without the record-retention branch -- callers
-        must only use it at COUNTERS retention (``_records is None``),
-        where :meth:`record` would not retain a record either, so every
-        count-based query stays bit-identical.  The fused delivery loop
-        in :meth:`repro.can.bus.CANBus._complete_transmission` inlines
-        this same arithmetic (including the blocked tally for the kinds
-        in :data:`BLOCKED_KINDS`); any change here must be mirrored
-        there.
-        """
-        self._total += 1
-        kind_counts = self._kind_counts
-        kind_counts[value] = kind_counts.get(value, 0) + 1
-        node_counts = self._node_counts.get(node)
-        if node_counts is None:
-            node_counts = self._node_counts[node] = {}
-        node_counts[value] = node_counts.get(value, 0) + 1
-        id_counts = self._id_counts.get(can_id)
-        if id_counts is None:
-            id_counts = self._id_counts[can_id] = {}
-        id_counts[value] = id_counts.get(value, 0) + 1
-        if value in _BLOCKED_VALUES:
-            self._blocked += 1
-
     # -- collection protocol ---------------------------------------------------
 
     def __len__(self) -> int:
         """Total events ever recorded (identical across retention levels)."""
-        return self._total
+        return sum(self._kind_counts.values())
 
     def __iter__(self) -> Iterator[TraceRecord]:
         """Iterate the *retained* records (empty at COUNTERS level)."""
@@ -232,16 +201,13 @@ class BusTrace:
         return len(self._records) if self._records is not None else 0
 
     def clear(self) -> None:
-        """Drop all records and reset every counter."""
+        """Drop all records and empty both count tables."""
         if self._records is not None:
             self._records.clear()
-        self._total = 0
         self._kind_counts.clear()
-        self._node_counts.clear()
-        self._id_counts.clear()
-        self._blocked = 0
+        self._counts.clear()
 
-    # -- O(1) counter queries ---------------------------------------------------
+    # -- count queries (every retention level) ----------------------------------
 
     def count(self, kind: TraceEventKind) -> int:
         """Number of events of the given kind over the whole run."""
@@ -249,7 +215,8 @@ class BusTrace:
 
     def blocked_count(self) -> int:
         """Events where a frame was blocked by a filter or policy."""
-        return self._blocked
+        counts = self._kind_counts
+        return sum(counts.get(value, 0) for value in _BLOCKED_VALUES)
 
     def policy_block_count(self) -> int:
         """Frames blocked by a *policy engine* (either direction)."""
@@ -267,21 +234,21 @@ class BusTrace:
 
     def count_for_node(self, node: str, kind: TraceEventKind | None = None) -> int:
         """Events attributed to *node*, optionally restricted to one kind."""
-        node_counts = self._node_counts.get(node)
-        if node_counts is None:
-            return 0
-        if kind is None:
-            return sum(node_counts.values())
-        return node_counts.get(kind.value, 0)
+        value = None if kind is None else kind.value
+        return sum(
+            count
+            for (kind_value, key_node, _), count in self._counts.items()
+            if key_node == node and (value is None or kind_value == value)
+        )
 
     def count_for_frame_id(self, can_id: int, kind: TraceEventKind | None = None) -> int:
         """Events concerning frames with *can_id*, optionally of one kind."""
-        id_counts = self._id_counts.get(can_id)
-        if id_counts is None:
-            return 0
-        if kind is None:
-            return sum(id_counts.values())
-        return id_counts.get(kind.value, 0)
+        value = None if kind is None else kind.value
+        return sum(
+            count
+            for (kind_value, _, key_id), count in self._counts.items()
+            if key_id == can_id and (value is None or kind_value == value)
+        )
 
     def summary(self) -> dict[str, int]:
         """Count of events per kind (only kinds that occurred).
@@ -332,19 +299,19 @@ class BusTrace:
         return bool(self.delivered_to(node, can_id))
 
     def export_metrics(self, registry, prefix: str = "bus.events.") -> None:
-        """Fold this trace's whole-run counters into a metrics registry.
+        """Fold this trace's whole-run counts into a metrics registry.
 
         One ``{prefix}{kind}`` counter per event kind that occurred,
         plus ``bus.events_total`` and ``bus.blocked_total`` -- served
-        entirely from the always-on O(1) counters, so the export is
+        entirely from the always-on count tables, so the export is
         valid (and identical) at every retention level.  The fleet
         runner calls this once per simulated vehicle when telemetry is
-        enabled; it reads counters only and cannot perturb the trace.
+        enabled; it reads the tables only and cannot perturb the trace.
         """
         for kind_value, count in self._kind_counts.items():
             registry.inc(prefix + kind_value, count)
-        registry.inc("bus.events_total", self._total)
-        registry.inc("bus.blocked_total", self._blocked)
+        registry.inc("bus.events_total", len(self))
+        registry.inc("bus.blocked_total", self.blocked_count())
 
     def merge(self, other: "BusTrace") -> "BusTrace":
         """A new FULL trace with both traces' retained records, time-ordered.
@@ -352,25 +319,20 @@ class BusTrace:
         Same-timestamp records order deterministically: this trace's
         records come first, each trace's own records stay in insertion
         order (the sort key is ``(time, source trace, insertion index)``).
-        Counters are summed, so count queries on the merged trace cover
-        both full runs even if a source trace retained fewer records.
+        Both count tables are summed, so count queries on the merged
+        trace cover both full runs even if a source trace retained fewer
+        records.
         """
         merged = BusTrace()
         decorated = [(r.time, 0, i, r) for i, r in enumerate(self)]
         decorated += [(r.time, 1, i, r) for i, r in enumerate(other)]
         decorated.sort(key=lambda item: item[:3])
         merged._records = [item[3] for item in decorated]
-        merged._total = self._total + other._total
-        merged._blocked = self._blocked + other._blocked
         for source in (self, other):
-            for kind, count in source._kind_counts.items():
-                merged._kind_counts[kind] = merged._kind_counts.get(kind, 0) + count
-            for node, node_counts in source._node_counts.items():
-                target = merged._node_counts.setdefault(node, {})
-                for kind, count in node_counts.items():
-                    target[kind] = target.get(kind, 0) + count
-            for can_id, id_counts in source._id_counts.items():
-                target = merged._id_counts.setdefault(can_id, {})
-                for kind, count in id_counts.items():
-                    target[kind] = target.get(kind, 0) + count
+            for table, target in (
+                (source._kind_counts, merged._kind_counts),
+                (source._counts, merged._counts),
+            ):
+                for key, count in table.items():
+                    target[key] = target.get(key, 0) + count
         return merged

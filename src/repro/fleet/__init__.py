@@ -4,9 +4,6 @@ The single-vehicle layers (``vehicle/``, ``core/``, ``attacks/``)
 simulate one car at a time; this package scales the same machinery to
 thousands of vehicles in one call:
 
-* :mod:`repro.fleet.kernel` -- a deterministic discrete-event kernel
-  with seeded, named RNG streams, so a vehicle's timeline is a pure
-  function of its seed.
 * :mod:`repro.fleet.scenarios` -- a registry of named, parameterised
   fleet workloads (``fleet_replay_storm``, ``staggered_ota_rollout``,
   ``mixed_ev_dos``, ...) composing the existing attack primitives, car
@@ -15,8 +12,11 @@ thousands of vehicles in one call:
   decorator on a script factory) or for one ``with`` block via
   :func:`temporary_scenario`.
 * :mod:`repro.fleet.runner` -- :func:`simulate_vehicle` (one spec to one
-  outcome) plus the per-process worker plumbing, including the
-  per-chunk outcome memo behind ``backend="auto"``.  Orchestrate through
+  outcome: the script replays in time order on the car's own event
+  scheduler, with one seeded ``fuzz`` stream per vehicle, so a
+  vehicle's timeline is a pure function of its spec) plus the
+  per-process worker plumbing, including the per-chunk outcome memo
+  behind ``backend="auto"``.  Orchestrate through
   :class:`repro.api.FleetSession` with an :class:`repro.api.ExperimentConfig`.
 * :mod:`repro.fleet.transfer` -- columnar :class:`SpecBlock` /
   :class:`OutcomeBlock` codecs and the shared-memory transport that
@@ -39,7 +39,6 @@ thousands of vehicles in one call:
 Aggregates are bit-identical for any worker count at the same seed.
 """
 
-from repro.fleet.kernel import FleetKernel
 from repro.fleet.resilience import (
     ChunkFailedError,
     CircuitBreaker,
@@ -81,7 +80,6 @@ __all__ = [
     "FaultPlan",
     "FleetAggregator",
     "FleetExecutionError",
-    "FleetKernel",
     "FleetResult",
     "FleetScenario",
     "InjectedFaultError",

@@ -4,11 +4,12 @@
 :class:`~repro.fleet.scenarios.VehicleSpec` into a
 :class:`~repro.fleet.results.VehicleOutcome`: the car is built (or
 acquired warm) through the shared
-:class:`~repro.casestudy.builder.CaseStudyBuilder`, the kernel replays
-the scripted actions, and every outcome field is a pure function of the
-spec.  The module also hosts the per-process worker plumbing (builder
-and car-pool caches, the chunk function :func:`_simulate_specs` with its
-per-chunk outcome memo, the picklable worker entry points) that
+:class:`~repro.casestudy.builder.CaseStudyBuilder`, the scripted actions
+replay in time order on the car's own event scheduler, and every
+outcome field is a pure function of the spec.  The module also hosts the
+per-process worker plumbing (builder and car-pool caches, the chunk
+function :func:`_simulate_specs` with its per-chunk outcome memo, the
+picklable worker entry points) that
 :class:`~repro.api.session.FleetSession` drives.
 
 Orchestration lives in :mod:`repro.api`: build an
@@ -16,14 +17,16 @@ Orchestration lives in :mod:`repro.api`: build an
 :class:`~repro.api.session.FleetSession`.
 
 Worker-count invariance: each vehicle's timeline is a pure function of
-its spec (the kernel replays scripted actions at scripted times with
-seeded RNG streams), and aggregation folds outcomes in vehicle-id order
--- so a 4-worker run is bit-identical to a 1-worker run with the same
-seed, which the fleet benchmark asserts.
+its spec (scripted actions run at scripted times, and the only
+randomness is the vehicle's ``fuzz`` stream, seeded from ``spec.seed``
+through :func:`~repro.core.seeding.derive_seed`), and aggregation folds
+outcomes in vehicle-id order -- so a 4-worker run is bit-identical to a
+1-worker run with the same seed, which the fleet benchmark asserts.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import replace
 from itertools import islice
@@ -36,8 +39,8 @@ from repro.attacks.scenarios import scenario_by_threat_id
 from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CarPool, CaseStudyBuilder
 from repro.core.enforcement import EnforcementConfig
+from repro.core.seeding import derive_seed
 from repro.core.updates import PolicyUpdateBundle, PolicyUpdateClient
-from repro.fleet.kernel import FleetKernel
 from repro.fleet.resilience import FaultEvent, apply_worker_fault
 from repro.fleet.results import VehicleOutcome
 from repro.fleet.scenarios import VehicleAction, VehicleSpec
@@ -92,69 +95,59 @@ def config_for_label(label: str, compile_tables: bool = True) -> EnforcementConf
     return config
 
 
-class _AttackTally:
-    """Running attack bookkeeping for one vehicle's timeline."""
+class _VehicleRun:
+    """Running bookkeeping for one vehicle's timeline.
 
-    def __init__(self) -> None:
+    Tallies attack outcomes and owns the vehicle's one ``fuzz`` RNG
+    stream, created on first use and shared by every ``fuzz`` action of
+    the script, so a second fuzz campaign continues the first one's draws.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
         self.attempted = 0
         self.mitigated = 0
+        self._fuzz_rng: random.Random | None = None
 
     def record(self, mitigated: bool) -> None:
         self.attempted += 1
         if mitigated:
             self.mitigated += 1
 
-
-def _advance_to(kernel: FleetKernel, car: ConnectedCar) -> None:
-    """Bring the car's bus clock up to the kernel clock.
-
-    Attack primitives advance the car internally (``car.run(0.05)``
-    inside scenario bodies), so the bus may already be ahead; only the
-    forward direction is meaningful.
-    """
-    delta = kernel.now - car.scheduler.now
-    if delta > 0:
-        car.run(delta)
+    def fuzz_rng(self) -> random.Random:
+        if self._fuzz_rng is None:
+            self._fuzz_rng = random.Random(derive_seed(self.seed, "fuzz"))
+        return self._fuzz_rng
 
 
-def _do_drive(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
+def _do_drive(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> None:
     car.sensors.set_pedals(accel=int(action.param("accel", 60)), brake=0)
     car.sensors.set_gear(1)
     car.door_locks.set_motion(True)
     car.sync_enforcement()
 
 
-def _do_park_and_arm(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
+def _do_park_and_arm(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> None:
     car.park_and_arm()
 
 
-def _do_attack(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
+def _do_attack(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> None:
     scenario = scenario_by_threat_id(str(action.param("threat_id")))
     outcome = scenario.execute(car)
-    tally.record(outcome.mitigated)
+    vehicle.record(outcome.mitigated)
 
 
-def _do_targeted_dos(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
+def _do_targeted_dos(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> None:
     attack = TargetedDisableAttack(
         car,
         target=str(action.param("target", "EV-ECU")),
         attacker_name="FleetDosNode",
     )
     result = attack.execute(repetitions=int(action.param("repetitions", 3)))
-    tally.record(not result.target_disabled)
+    vehicle.record(not result.target_disabled)
 
 
-def _do_flood(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
+def _do_flood(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> None:
     attack = BusFloodAttack(
         car, flood_id=int(action.param("flood_id", 0)), attacker_name="FleetFloodNode"
     )
@@ -164,12 +157,10 @@ def _do_flood(
     )
     # A rogue node always reaches the bus; the storm counts as weathered
     # when legitimate traffic kept the majority of bus slots.
-    tally.record(result.legitimate_delivery_ratio >= 0.5)
+    vehicle.record(result.legitimate_delivery_ratio >= 0.5)
 
 
-def _do_replay(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
+def _do_replay(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> None:
     messages = action.param("messages", ())
     capture_ids = {car.catalog.id_of(str(name)) for name in messages} or None
     attack = ReplayAttack(car, capture_ids=capture_ids)
@@ -187,20 +178,16 @@ def _do_replay(
     attack.replay()
     hazardous = len(car.door_locks.hazard_events) > hazards_before
     degraded = healthy_before and not all(car.health().values())
-    tally.record(not (hazardous or degraded))
+    vehicle.record(not (hazardous or degraded))
 
 
-def _do_fuzz(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
-    attack = FuzzingAttack(car, rng=kernel.stream("fuzz"))
+def _do_fuzz(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> None:
+    attack = FuzzingAttack(car, rng=vehicle.fuzz_rng())
     result = attack.execute(frames=int(action.param("frames", 100)))
-    tally.record(not result.components_disabled)
+    vehicle.record(not result.components_disabled)
 
 
-def _do_policy_update(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> bool:
+def _do_policy_update(car: ConnectedCar, action: VehicleAction, vehicle: _VehicleRun) -> bool:
     """Apply a version-bumped policy through the signed OTA update path.
 
     Unprotected vehicles have no coordinator and skip the update (they
@@ -220,7 +207,7 @@ def _do_policy_update(
 
 
 #: Scripted action kind -> handler.  Every handler takes
-#: ``(kernel, car, action, tally)``.
+#: ``(car, action, vehicle)``.
 _ACTION_HANDLERS = {
     "drive": _do_drive,
     "park_and_arm": _do_park_and_arm,
@@ -233,26 +220,16 @@ _ACTION_HANDLERS = {
 }
 
 #: Action kinds whose replay never draws from the vehicle's seeded RNG
-#: streams.  A timeline made only of these is a pure function of its
+#: stream.  A timeline made only of these is a pure function of its
 #: behaviour key ``(scenario, enforcement, duration_s, actions)``, so
-#: ``backend="auto"`` lets same-key vehicles in one chunk share a kernel
-#: run.  ``fuzz`` is left out on purpose: it draws its frames from
-#: ``kernel.stream("fuzz")``.  A test runs every kind in
-#: :data:`_ACTION_HANDLERS` under two seeds to keep this set honest.
+#: ``backend="auto"`` lets same-key vehicles in one chunk share one
+#: simulation.  ``fuzz`` is left out on purpose: it draws its frames from
+#: the vehicle's ``fuzz`` stream, seeded by ``spec.seed``.  A test runs
+#: every kind in :data:`_ACTION_HANDLERS` under two seeds to keep this
+#: set honest.
 SEED_INDEPENDENT_KINDS = frozenset(
     {"drive", "park_and_arm", "attack", "targeted_dos", "flood", "replay", "policy_update"}
 )
-
-
-def _execute_action(
-    kernel: FleetKernel, car: ConnectedCar, action: VehicleAction, tally: _AttackTally
-) -> None:
-    """Dispatch one scripted action against the live vehicle."""
-    _advance_to(kernel, car)
-    handler = _ACTION_HANDLERS.get(action.kind)
-    if handler is None:
-        raise ValueError(f"unknown fleet action kind {action.kind!r}")
-    handler(kernel, car, action, tally)
 
 
 def simulate_vehicle(
@@ -267,11 +244,12 @@ def simulate_vehicle(
 
     The outcome's deterministic fields depend only on *spec*: the car is
     built fresh (or acquired pristine from *pool* -- a reset car's
-    timeline is bit-identical to a fresh build's), the kernel replays
-    the scripted actions at their scripted times, and all randomness
-    comes from streams seeded by ``spec.seed``.  ``trace_level``
-    selects the bus-trace retention -- every count that feeds the
-    outcome comes from the trace's always-on O(1) counters, so outcomes
+    timeline is bit-identical to a fresh build's), the scripted actions
+    replay at their scripted times (same-time actions in script order;
+    actions after ``duration_s`` never run), and all randomness comes
+    from the vehicle's ``fuzz`` stream, seeded by ``spec.seed``.
+    ``trace_level`` selects the bus-trace retention -- every count that
+    feeds the outcome comes from the trace's count tables, so outcomes
     are bit-identical across ``FULL``, ``RING`` and ``COUNTERS``.
     ``compile_tables`` selects the HPE decision path (bitmask fast path
     versus approved-list objects); decisions are identical either way.
@@ -300,15 +278,21 @@ def simulate_vehicle(
         )
     wall_start = clock.wall()
     build_seconds = wall_start - build_start
-    kernel = FleetKernel(spec.seed)
-    tally = _AttackTally()
-    for action in spec.actions:
-        kernel.schedule(
-            action.time,
-            lambda k, c, a=action: _execute_action(k, c, a, tally),
-            label=action.kind,
-        )
-    kernel.run(context=car, until=spec.duration_s)
+    vehicle = _VehicleRun(spec.seed)
+    # sorted() is stable, so same-time actions keep their script order.
+    for action in sorted(spec.actions, key=lambda action: action.time):
+        if action.time > spec.duration_s:
+            break
+        # Attack primitives advance the car internally (``car.run(0.05)``
+        # inside scenario bodies), so the bus may already be past the
+        # action's time; only the forward direction is meaningful.
+        delta = action.time - car.scheduler.now
+        if delta > 0:
+            car.run(delta)
+        handler = _ACTION_HANDLERS.get(action.kind)
+        if handler is None:
+            raise ValueError(f"unknown fleet action kind {action.kind!r}")
+        handler(car, action, vehicle)
     remaining = spec.duration_s - car.scheduler.now
     if remaining > 0:
         car.run(remaining)
@@ -347,8 +331,8 @@ def simulate_vehicle(
         frames_blocked=policy_blocks,
         hpe_decisions=hpe_decisions,
         policy_pushes=policy_pushes,
-        attacks_attempted=tally.attempted,
-        attacks_mitigated=tally.mitigated,
+        attacks_attempted=vehicle.attempted,
+        attacks_mitigated=vehicle.mitigated,
         mean_decision_latency_s=(hpe_latency / hpe_decisions if hpe_decisions else 0.0),
         healthy=all(car.health().values()),
         wall_seconds=wall_seconds,
@@ -456,7 +440,7 @@ def _simulate_specs(
     """Simulate one chunk of specs, in order -- every execution path's core.
 
     With *memo*, a vehicle whose actions are all in
-    :data:`SEED_INDEPENDENT_KINDS` shares one kernel run with every
+    :data:`SEED_INDEPENDENT_KINDS` shares one simulation with every
     earlier vehicle of the chunk that has the same behaviour key
     ``(scenario, enforcement, duration_s, actions)``.  A hit is the
     cached outcome re-stamped with its own ``vehicle_id`` and zeroed
@@ -473,7 +457,7 @@ def _simulate_specs(
 
         def run(spec: VehicleSpec) -> VehicleOutcome:
             # Looked up as a module global on every call, so wrappers
-            # installed on ``simulate_vehicle`` see each real kernel run.
+            # installed on ``simulate_vehicle`` see each real simulation.
             return simulate_vehicle(
                 spec,
                 builder,

@@ -23,12 +23,13 @@ examples look them up with :func:`get_scenario`.
 from __future__ import annotations
 
 import inspect
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
-from repro.fleet.kernel import derive_seed
+from repro.core.seeding import derive_seed
 
 #: Enforcement labels a scenario mix may use (resolved to configurations
 #: by the runner; mirrors ``EnforcementConfig.label``).
@@ -48,6 +49,12 @@ def _check_keys(
     missing = sorted(set(required) - set(data))
     if missing:
         raise ValueError(f"missing required {kind} key(s) {missing}")
+
+
+def _check_time(kind: str, name: str, value: float) -> None:
+    """Reject a negative, NaN or infinite simulated time."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{kind}.{name} must be finite and non-negative, got {value!r}")
 
 
 def _freeze(value: object) -> object:
@@ -87,6 +94,7 @@ class VehicleAction:
         # transfer mode carried it (and 0 == 0.0, so equality of
         # existing callers is unchanged).
         object.__setattr__(self, "time", float(self.time))
+        _check_time("VehicleAction", "time", self.time)
         items = self.params.items() if isinstance(self.params, dict) else self.params
         pairs = tuple(sorted((str(key), _freeze(value)) for key, value in items))
         object.__setattr__(self, "params", pairs)
@@ -135,6 +143,7 @@ class VehicleSpec:
         # columns, so fingerprints cannot differ between pickle and shm
         # transfer for hand-built int-valued specs.
         object.__setattr__(self, "duration_s", float(self.duration_s))
+        _check_time("VehicleSpec", "duration_s", self.duration_s)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (round-trips via :meth:`from_dict`)."""
@@ -244,7 +253,7 @@ class FleetScenario:
         """Generate *vehicles* fully explicit specs, one at a time.
 
         Every randomised decision is drawn here from streams derived via
-        :func:`~repro.fleet.kernel.derive_seed`, so the yielded specs --
+        :func:`~repro.core.seeding.derive_seed`, so the yielded specs --
         and therefore the whole fleet run -- are a pure function of
         ``(scenario, vehicles, seed)``.  Streaming is what keeps the
         parent O(chunk) at 10^5+ vehicles: the

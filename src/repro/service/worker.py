@@ -39,6 +39,7 @@ same way minus the isolation.
 
 from __future__ import annotations
 
+import os
 import traceback
 from typing import Callable
 
@@ -160,6 +161,13 @@ class DrainWorker:
         try:
             self._hook("before_execute", job)
             config = job.config_object()
+            # A client must not make this worker fork more processes
+            # than the host has cores.  ``workers`` is a plan field, so
+            # the clamp moves neither the result nor the config hash,
+            # and the stored job keeps the config it was submitted with.
+            cores = os.cpu_count() or 1
+            if config.workers > cores:
+                config = config.with_overrides(workers=cores)
             result = self._session_for(job).run_config(config)
             self._hook("after_execute", job)
         except Exception as exc:  # noqa: BLE001 -- every failure is an attempt

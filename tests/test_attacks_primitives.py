@@ -32,6 +32,16 @@ class TestMaliciousNode:
         attacker.detach()
         assert attacker.name not in unprotected_car.bus.node_names()
 
+    def test_repeated_names_attach_under_the_first_free_suffix(self, unprotected_car):
+        names = [MaliciousNode(unprotected_car, name="Fuzzer").name for _ in range(3)]
+        assert names == ["Fuzzer", "Fuzzer-2", "Fuzzer-3"]
+        unprotected_car.bus.detach("Fuzzer-2")
+        assert MaliciousNode(unprotected_car, name="Fuzzer").name == "Fuzzer-2"
+
+    def test_ecu_names_are_never_taken_over(self, unprotected_car):
+        assert MaliciousNode(unprotected_car, name="EV-ECU").name == "EV-ECU-2"
+        assert unprotected_car.bus.node("EV-ECU") is unprotected_car.ev_ecu.node
+
     def test_compromise_ecu_helper(self, unprotected_car):
         ecu = compromise_ecu(unprotected_car.sensors)
         assert ecu.firmware_compromised

@@ -1,23 +1,28 @@
 """Tests for the fast-path frame pipeline.
 
 Covers the trace retention levels (FULL / RING / COUNTERS counter
-equivalence), heap-vs-sort arbitration order equivalence, the slimmed
+equivalence, and every count query against a recount of the FULL
+trace's records), heap-vs-sort arbitration order equivalence, the slimmed
 scheduler, bounded inbox retention, the ``detach`` back-reference
 regression and the deterministic ``BusTrace.merge`` tie-break.
 """
 
 import heapq
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.attacker import MaliciousNode
 from repro.can.bus import CANBus
 from repro.can.errors import NodeDetachedError
 from repro.can.frame import MAX_STANDARD_ID, CANFrame
 from repro.can.node import CANNode
 from repro.can.scheduler import Event, EventScheduler
-from repro.can.trace import BusTrace, TraceEventKind, TraceLevel
+from repro.can.trace import BLOCKED_KINDS, BusTrace, TraceEventKind, TraceLevel
+from repro.core.enforcement import EnforcementConfig
+from repro.obs.metrics import MetricsRegistry
 
 
 def build_bus(trace_level=TraceLevel.FULL, *names, inbox_limit=None):
@@ -109,6 +114,117 @@ class TestTraceLevels:
         trace.record(0.1, TraceEventKind.SUBMITTED, frame)
         trace.record(0.2, TraceEventKind.TRANSMITTED, frame)
         assert list(trace.summary()) == ["transmitted", "submitted"]
+
+
+def assert_counts_match_recount(trace, records):
+    """Every count query of *trace* equals a recount over *records*."""
+    assert len(trace) == len(records)
+    kinds = list(TraceEventKind)
+    nodes = sorted({r.node for r in records} | {"", "absent"})
+    can_ids = sorted({r.frame.can_id for r in records} | {0x7FE})
+    per_kind = {}  # first-occurrence order, as summary() promises
+    for r in records:
+        per_kind[r.kind.value] = per_kind.get(r.kind.value, 0) + 1
+    assert list(trace.summary().items()) == list(per_kind.items())
+    for kind in kinds:
+        assert trace.count(kind) == sum(r.kind is kind for r in records)
+    assert trace.blocked_count() == sum(r.kind in BLOCKED_KINDS for r in records)
+    assert trace.policy_block_count() == sum(
+        r.kind in (TraceEventKind.BLOCKED_READ_POLICY, TraceEventKind.BLOCKED_WRITE_POLICY)
+        for r in records
+    )
+    assert trace.filter_block_count() == sum(
+        r.kind in (TraceEventKind.BLOCKED_READ_FILTER, TraceEventKind.BLOCKED_WRITE_FILTER)
+        for r in records
+    )
+    for kind in [None, *kinds]:
+        for node in nodes:
+            assert trace.count_for_node(node, kind) == sum(
+                r.node == node and kind in (None, r.kind) for r in records
+            )
+        for can_id in can_ids:
+            assert trace.count_for_frame_id(can_id, kind) == sum(
+                r.frame.can_id == can_id and kind in (None, r.kind) for r in records
+            )
+    registry = MetricsRegistry()
+    trace.export_metrics(registry)
+    snapshot = registry.snapshot()
+    assert snapshot.counter("bus.events_total") == len(records)
+    assert snapshot.counter("bus.blocked_total") == trace.blocked_count()
+
+
+_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(list(TraceEventKind)),
+        st.sampled_from(["", "a", "b", "c"]),
+        st.sampled_from([0x0, 0x10, 0x7FF, 0x1234]),
+    ),
+    max_size=60,
+)
+
+#: (sender, can_id) pairs for the bus-level property: ECU senders are
+#: policed on write, the rogue node only by the receivers' read side;
+#: ids cover catalogue messages, an unknown standard id, the top
+#: standard id and one extended id (which leaves the fused loop).
+_SENDERS = ["Rogue", "EV-ECU", "Sensors", "Telematics", "Safety"]
+_IDS = [0x010, 0x020, 0x050, 0x060, 0x080, 0x0A0, 0x0B0, 0x321, 0x7FF, 0x1ABCDE]
+_FRAMES = st.lists(
+    st.tuples(st.sampled_from(_SENDERS), st.sampled_from(_IDS)), max_size=25
+)
+
+_CAR_CONFIGS = {
+    "unprotected": None,
+    "compiled": EnforcementConfig.full(),
+    "object": replace(EnforcementConfig.full(), compile_tables=False),
+}
+
+
+def _car_trace(builder, config, level, frames):
+    car = builder.build_car(config, trace_level=level)
+    MaliciousNode(car, name="Rogue")
+    for sender, can_id in frames:
+        frame = CANFrame(can_id=can_id, data=b"\x01", extended=can_id > MAX_STANDARD_ID)
+        car.bus.node(sender).send(frame)
+    car.bus.run_until_idle()
+    return car.bus.trace
+
+
+class TestCountsEqualARecount:
+    """Count queries at every level equal a recount of the FULL records."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(events=_EVENTS)
+    def test_direct_records(self, events):
+        traces = {level: BusTrace(level=level, ring_size=8) for level in TraceLevel}
+        for time, (kind, node, can_id) in enumerate(events):
+            frame = CANFrame(can_id=can_id, extended=can_id > MAX_STANDARD_ID)
+            for trace in traces.values():
+                trace.record(float(time), kind, frame, node=node)
+        records = list(traces[TraceLevel.FULL])
+        for trace in traces.values():
+            assert_counts_match_recount(trace, records)
+
+    @settings(max_examples=25, deadline=None)
+    @given(engine=st.sampled_from(sorted(_CAR_CONFIGS)), frames=_FRAMES)
+    def test_frames_through_a_bus(self, builder, engine, frames):
+        config = _CAR_CONFIGS[engine]
+        records = list(_car_trace(builder, config, TraceLevel.FULL, frames))
+        for level in TraceLevel:
+            trace = _car_trace(builder, config, level, frames)
+            assert_counts_match_recount(trace, records)
+
+    def test_the_bus_property_reaches_every_receive_outcome(self, builder):
+        frames = [(sender, can_id) for sender in _SENDERS for can_id in _IDS]
+        for engine, config in _CAR_CONFIGS.items():
+            kinds = {r.kind for r in _car_trace(builder, config, TraceLevel.FULL, frames)}
+            assert TraceEventKind.DELIVERED in kinds
+            if engine == "unprotected":
+                assert TraceEventKind.BLOCKED_READ_FILTER in kinds
+            else:
+                assert {
+                    TraceEventKind.BLOCKED_READ_POLICY,
+                    TraceEventKind.BLOCKED_WRITE_POLICY,
+                } <= kinds
 
 
 class TestMergeTieBreak:

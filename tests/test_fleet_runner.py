@@ -1,8 +1,19 @@
-"""Tests for the fleet runner: per-vehicle simulation and worker invariance."""
+"""Tests for the fleet runner: per-vehicle simulation and worker invariance.
+
+Script replay is covered here too: actions run in time order on the
+car's own clock (same-time actions in script order), an action at
+exactly ``duration_s`` still runs, later ones never do, and each
+vehicle draws every ``fuzz`` campaign from one seeded stream.
+"""
+
+import random
 
 import pytest
 
 from repro.api import ExperimentConfig, FleetSession
+from repro.casestudy.builder import CarPool
+from repro.core.seeding import derive_seed
+from repro.fleet import runner
 from repro.fleet.runner import config_for_label, simulate_vehicle
 from repro.fleet.scenarios import VehicleAction, VehicleSpec, get_scenario
 
@@ -91,6 +102,123 @@ class TestSimulateVehicle:
         first = simulate_vehicle(spec, builder)
         second = simulate_vehicle(spec, builder)
         assert first.deterministic_tuple() == second.deterministic_tuple()
+
+
+def record_handler_calls(monkeypatch, kinds=("drive",)):
+    """Replace the handlers of *kinds* with recorders of (tag, car clock)."""
+    calls = []
+
+    def recorder(car, action, vehicle):
+        calls.append((action.param("tag"), car.scheduler.now))
+        advance = action.param("advance")
+        if advance:
+            car.run(advance)
+
+    for kind in kinds:
+        monkeypatch.setitem(runner._ACTION_HANDLERS, kind, recorder)
+    return calls
+
+
+class TestScriptReplay:
+    def test_actions_run_in_time_order_on_the_cars_clock(self, builder, monkeypatch):
+        calls = record_handler_calls(monkeypatch)
+        actions = [
+            VehicleAction(0.15, "drive", {"tag": "c"}),
+            VehicleAction(0.05, "drive", {"tag": "a"}),
+            VehicleAction(0.1, "drive", {"tag": "b"}),
+        ]
+        simulate_vehicle(make_spec(actions=actions), builder)
+        assert [tag for tag, _ in calls] == ["a", "b", "c"]
+        assert [now for _, now in calls] == [
+            pytest.approx(0.05), pytest.approx(0.1), pytest.approx(0.15)
+        ]
+
+    def test_same_time_actions_keep_script_order(self, builder, monkeypatch):
+        calls = record_handler_calls(monkeypatch, kinds=("drive", "park_and_arm"))
+        actions = [
+            VehicleAction(0.1, "park_and_arm", {"tag": "first"}),
+            VehicleAction(0.05, "drive", {"tag": "earlier"}),
+            VehicleAction(0.1, "drive", {"tag": "second"}),
+            VehicleAction(0.1, "park_and_arm", {"tag": "third"}),
+        ]
+        simulate_vehicle(make_spec(actions=actions), builder)
+        assert [tag for tag, _ in calls] == ["earlier", "first", "second", "third"]
+
+    def test_an_action_at_the_duration_runs_and_later_ones_do_not(self, builder, monkeypatch):
+        calls = record_handler_calls(monkeypatch, kinds=("drive", "teleport"))
+        actions = [
+            VehicleAction(0.25, "teleport", {"tag": "late"}),
+            VehicleAction(0.2, "drive", {"tag": "at-end"}),
+        ]
+        outcome = simulate_vehicle(make_spec(actions=actions, duration_s=0.2), builder)
+        assert [tag for tag, _ in calls] == ["at-end"]
+        assert outcome.simulated_seconds == pytest.approx(0.2)
+
+    def test_the_car_clock_only_moves_forward(self, builder, monkeypatch):
+        # A handler that advances the car (as attack primitives do)
+        # leaves the bus ahead of the next action's time; the next
+        # action then runs at the bus's time, never rewinding it.
+        calls = record_handler_calls(monkeypatch)
+        actions = [
+            VehicleAction(0.05, "drive", {"tag": "advances", "advance": 0.1}),
+            VehicleAction(0.1, "drive", {"tag": "behind"}),
+        ]
+        simulate_vehicle(make_spec(actions=actions), builder)
+        assert calls[1] == ("behind", pytest.approx(0.15))
+
+    def test_fuzz_campaigns_share_one_continuing_stream(self, builder, monkeypatch):
+        seen = []
+
+        class RecordingFuzz(runner.FuzzingAttack):
+            def __init__(self, car, rng):
+                seen.append((rng, rng.getstate()))
+                super().__init__(car, rng=rng)
+
+        monkeypatch.setattr(runner, "FuzzingAttack", RecordingFuzz)
+        fuzz = {"frames": 20}
+        spec = make_spec(
+            actions=[VehicleAction(0.05, "fuzz", fuzz), VehicleAction(0.1, "fuzz", fuzz)],
+            seed=23,
+        )
+        outcome = simulate_vehicle(spec, builder)
+        assert outcome.attacks_attempted == 2
+        (first, first_state), (second, second_state) = seen
+        assert first is second
+        assert first_state == random.Random(derive_seed(23, "fuzz")).getstate()
+        assert second_state != first_state
+
+
+#: One parameter set per attack kind that attaches a rogue node.
+ATTACK_ACTIONS = {
+    "attack": {"threat_id": "T01"},
+    "targeted_dos": {"repetitions": 2},
+    "flood": {"frames": 20, "window_s": 0.05, "flood_id": 0},
+    "replay": {"messages": ["DOOR_UNLOCK_CMD"]},
+    "fuzz": {"frames": 30},
+}
+
+
+class TestRepeatedAttacks:
+    """A script may repeat any attack; the second rogue node gets a free name."""
+
+    @pytest.mark.parametrize("kind", sorted(ATTACK_ACTIONS))
+    @pytest.mark.parametrize("enforcement", ["hpe+selinux", "unprotected"])
+    def test_each_attack_kind_twice_matches_pooled_and_fresh(self, builder, kind, enforcement):
+        params = ATTACK_ACTIONS[kind]
+        spec = make_spec(
+            enforcement=enforcement,
+            actions=[VehicleAction(0.05, kind, params), VehicleAction(0.15, kind, params)],
+            duration_s=0.3,
+        )
+        fresh = simulate_vehicle(spec, builder)
+        assert fresh.attacks_attempted == 2
+        pool = CarPool(builder)
+        # The second acquisition is a reset car: both rogue nodes of the
+        # first run must be gone for it to match a fresh build.
+        for _ in range(2):
+            pooled = simulate_vehicle(spec, pool=pool)
+            assert pooled.deterministic_tuple() == fresh.deterministic_tuple()
+        assert pool.reuses == 1
 
 
 class TestFleetSession:

@@ -279,3 +279,53 @@ class TestSerialisationRoundTrip:
     def test_spec_rejects_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing required VehicleSpec"):
             VehicleSpec.from_dict({"vehicle_id": 1, "scenario": "x"})
+
+
+_BAD_TIMES = [-0.1, -1e-12, float("nan"), float("inf"), float("-inf")]
+
+
+class TestSpecTimes:
+    """Action times and durations must be finite and non-negative."""
+
+    @staticmethod
+    def _spec_dict(duration_s=0.5, actions=()):
+        return {
+            "vehicle_id": 0,
+            "scenario": "unit-test",
+            "enforcement": "hpe+selinux",
+            "seed": 1,
+            "duration_s": duration_s,
+            "actions": list(actions),
+        }
+
+    @pytest.mark.parametrize("bad", _BAD_TIMES)
+    def test_action_time_rejected_by_the_constructor(self, bad):
+        with pytest.raises(ValueError, match="VehicleAction.time must be finite"):
+            VehicleAction(bad, "drive")
+
+    @pytest.mark.parametrize("bad", _BAD_TIMES)
+    def test_action_time_rejected_by_from_dict(self, bad):
+        with pytest.raises(ValueError, match="VehicleAction.time must be finite"):
+            VehicleAction.from_dict({"time": bad, "kind": "drive"})
+
+    @pytest.mark.parametrize("bad", _BAD_TIMES)
+    def test_duration_rejected_by_the_constructor(self, bad):
+        with pytest.raises(ValueError, match="VehicleSpec.duration_s must be finite"):
+            VehicleSpec(0, "unit-test", "hpe+selinux", 1, bad)
+
+    @pytest.mark.parametrize("bad", _BAD_TIMES)
+    def test_duration_rejected_by_from_dict(self, bad):
+        with pytest.raises(ValueError, match="VehicleSpec.duration_s must be finite"):
+            VehicleSpec.from_dict(self._spec_dict(duration_s=bad))
+
+    @pytest.mark.parametrize("bad", _BAD_TIMES)
+    def test_nested_action_time_rejected_by_spec_from_dict(self, bad):
+        actions = [{"time": bad, "kind": "drive"}]
+        with pytest.raises(ValueError, match="VehicleAction.time must be finite"):
+            VehicleSpec.from_dict(self._spec_dict(actions=actions))
+
+    def test_zero_is_a_valid_time_and_duration(self):
+        spec = VehicleSpec(0, "unit-test", "hpe+selinux", 1, 0, (VehicleAction(0, "drive"),))
+        assert spec.duration_s == 0.0
+        assert spec.actions[0].time == 0.0
+        assert VehicleSpec.from_dict(spec.to_dict()) == spec

@@ -194,7 +194,7 @@ class TestCalendarClockRule:
 
 
 class TestResilienceSeedDiscipline:
-    """``resilience.py`` RNGs must be seeded through ``derive_seed``."""
+    """``resilience.py`` and ``runner.py`` RNGs must be seeded through ``derive_seed``."""
 
     def _check_resilience(self, tmp_path, source: str):
         path = tmp_path / "resilience.py"
@@ -241,6 +241,18 @@ class TestResilienceSeedDiscipline:
 
     def test_shipped_resilience_module_is_clean(self):
         path = REPO_ROOT / "src" / "repro" / "fleet" / "resilience.py"
+        assert check_determinism.check_file(path) == []
+
+    def test_runner_is_held_to_the_same_rule(self, tmp_path):
+        path = tmp_path / "runner.py"
+        path.write_text("import random\nrng = random.Random(42)\n", encoding="utf-8")
+        violations = check_determinism.check_file(path)
+        assert len(violations) == 1
+        assert "derive_seed" in violations[0].message
+
+    def test_shipped_runner_module_is_clean(self):
+        path = REPO_ROOT / "src" / "repro" / "fleet" / "runner.py"
+        assert "random.Random(" in path.read_text(encoding="utf-8")
         assert check_determinism.check_file(path) == []
 
 

@@ -128,6 +128,22 @@ class TestDrain:
         snapshot = worker.registry.snapshot()
         assert snapshot.counter("session.runs") == 2
 
+    def test_requested_workers_are_clamped_to_the_host_cores(self, store):
+        cores = os.cpu_count() or 1
+        oversized = CONFIG.with_overrides(workers=cores + 3)
+        job, _ = store.submit(oversized)
+        with DrainWorker(store, name="w0") as worker:
+            assert worker.drain() == 1
+            pools = worker._session._mp_pools
+            assert all(workers <= cores for workers in pools)
+            assert all(len(pool._pool) <= cores for pool in pools.values())
+        # workers is a plan field: the stored job keeps what the client
+        # sent, and the result equals a single-process run.
+        assert store.job(job.id).config_object() == oversized
+        result = store.result_for(oversized.config_hash())
+        serial = CONFIG.with_overrides(workers=1)
+        assert result.fingerprint() == foreground_fingerprint(serial)
+
 
 def _doomed_worker_main(db_path: str) -> None:
     """Lease a job, then stall inside the lease until SIGKILLed."""

@@ -18,10 +18,11 @@ module.  This checker walks the simulation packages' ASTs and rejects:
 * unseeded generators (``random.Random()`` with no arguments) -- an
   argument-less ``Random`` seeds itself from the OS, which is ambient
   randomness with extra steps;
-* in ``resilience.py`` specifically, every ``random.Random(...)`` seed
-  argument must be a :func:`repro.core.seeding.derive_seed` call --
-  backoff jitter replays bit-identically only when its streams come
-  from the SHA-256 derivation machinery;
+* in ``resilience.py`` and ``runner.py`` specifically, every
+  ``random.Random(...)`` seed argument must be a
+  :func:`repro.core.seeding.derive_seed` call -- backoff jitter and each
+  vehicle's ``fuzz`` stream replay bit-identically only when their
+  streams come from the SHA-256 derivation machinery;
 * calendar-time readings (``clock.now`` from :mod:`repro.obs.clock`,
   the epoch clock) anywhere *except* the sanctioned callers: the
   experiment service (``src/repro/service``) legitimately needs wall
@@ -75,8 +76,9 @@ FORBIDDEN_MODULES = {
 ALLOWED_RANDOM_ATTRS = {"Random", "SystemRandom"}
 
 #: File names whose ``random.Random`` seeds must be ``derive_seed(...)``
-#: calls: the resilience layer's jitter streams must replay exactly.
-DERIVED_SEED_FILES = {"resilience.py"}
+#: calls: the resilience layer's jitter streams and the fleet runner's
+#: per-vehicle ``fuzz`` streams must replay exactly.
+DERIVED_SEED_FILES = {"resilience.py", "runner.py"}
 
 
 class Violation:
