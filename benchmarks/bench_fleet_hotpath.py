@@ -10,7 +10,7 @@ each enforcement check:
 * **object vs compiled**: probing ``ApprovedIdList`` sets through the
   decision-block object path versus one bitmask probe against a
   :class:`repro.core.compiled.CompiledDecisionTable`, including the
-  fused bus delivery loop the compiled mode enables;
+  bus's memoised delivery plans the compiled mode enables;
 * **the pre-change recreation**: the parent revision's pipeline
   faithfully re-created (per-delivery call chain through the
   transceiver, per-event ``trace.record`` calls, per-send frame

@@ -18,6 +18,7 @@ Modules
 * :mod:`repro.can.transceiver` -- CAN transceiver model.
 * :mod:`repro.can.controller` -- CAN controller with error counters.
 * :mod:`repro.can.bus` -- the shared broadcast bus with arbitration.
+* :mod:`repro.can.plans` -- the process-wide memo of frame delivery plans.
 * :mod:`repro.can.node` -- a complete CAN node (transceiver + controller
   + processor application), with optional policy-engine hooks.
 """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from repro.can import plans as plan_memo
 from repro.can.errors import BusOffError
 from repro.can.filters import FilterBank
 from repro.can.frame import CANFrame
@@ -126,6 +127,7 @@ class CANController:
         are set up once from the message catalogue and never mutated at
         run time -- a firmware compromise only *bypasses* them).
         """
+        plan_memo.flush_all()
         self.reset()
         self.frames_accepted = 0
         self.frames_rejected = 0

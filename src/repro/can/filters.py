@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.can import plans as plan_memo
 from repro.can.frame import MAX_EXTENDED_ID, MAX_STANDARD_ID, CANFrame
 
 
@@ -97,6 +98,7 @@ class FilterBank:
 
     def add(self, acceptance_filter: AcceptanceFilter) -> None:
         """Add a filter to the bank."""
+        plan_memo.invalidate()
         self._filters.append(acceptance_filter)
         mask = acceptance_filter.mask
         self._by_mask.setdefault(mask, set()).add(acceptance_filter.value & mask)
@@ -108,25 +110,29 @@ class FilterBank:
 
     def clear(self) -> None:
         """Remove all filters."""
+        plan_memo.invalidate()
         self._filters.clear()
         self._by_mask.clear()
         self._accept_mask = None
 
     def set_default_reject(self) -> None:
         """Reject frames when no filter matches (instead of accepting)."""
+        plan_memo.invalidate()
         self._default_accept = False
         self._accept_mask = None
 
     def set_default_accept(self) -> None:
         """Accept frames when no filter matches."""
+        plan_memo.invalidate()
         self._default_accept = True
         self._accept_mask = None
 
     def compile_mask(self) -> bytes:
         """Compile the bank's standard-id decisions into a 256-byte bitset.
 
-        The fused fleet delivery loop probes the compiled bitset instead
-        of scanning the match buckets.  Bit ``i`` is set iff
+        The transmit path probes the compiled bitset instead of scanning
+        the match buckets, and delivery plans are keyed on the receive
+        bank's bitset (see :mod:`repro.can.plans`).  Bit ``i`` is set iff
         :meth:`accepts_id` would accept identifier ``i`` in the
         *uncompromised* state -- a compromise bypasses the bank entirely
         and is checked separately by callers.  The mask is cached until
@@ -168,11 +174,15 @@ class FilterBank:
         reflecting that software filters offer no protection once the
         firmware configuring them is under attacker control.
         """
-        self._compromised = True
+        if not self._compromised:
+            plan_memo.invalidate()
+            self._compromised = True
 
     def restore(self) -> None:
         """Restore normal filtering after a (simulated) firmware reflash."""
-        self._compromised = False
+        if self._compromised:
+            plan_memo.invalidate()
+            self._compromised = False
 
     @property
     def compromised(self) -> bool:

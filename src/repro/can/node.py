@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
+from repro.can import plans as plan_memo
 from repro.can.controller import BUS_OFF_THRESHOLD, CANController
 from repro.can.errors import BusOffError, NodeDetachedError
 from repro.can.frame import MAX_STANDARD_ID, CANFrame
@@ -50,6 +51,13 @@ class ApplicationHooks:
     on_receive: Callable[[CANFrame], None] | None = None
     on_send_blocked: Callable[[CANFrame, str], None] | None = None
     on_receive_blocked: Callable[[CANFrame, str], None] | None = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # Whether a blocked-frame hook is set decides which blocked
+        # receivers a delivery plan visits.
+        if name == "on_receive_blocked":
+            plan_memo.invalidate()
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -109,8 +117,8 @@ class CANNode:
         self.name = name
         self.controller = controller if controller is not None else CANController(name)
         self.transceiver = CANTransceiver(name)
-        self.policy_engine = policy_engine
-        self.hooks = hooks if hooks is not None else ApplicationHooks()
+        self._policy_engine = policy_engine
+        self._hooks = hooks if hooks is not None else ApplicationHooks()
         self.counters = NodeCounters()
         self.inbox: "list[CANFrame] | deque[CANFrame]" = []
         self._inbox_limit: int | None = None
@@ -124,6 +132,26 @@ class CANNode:
             self.set_inbox_limit(inbox_limit)
 
     # -- wiring ---------------------------------------------------------------------
+
+    @property
+    def policy_engine(self) -> PolicyHook | None:
+        """The policy hook below the firmware, if any."""
+        return self._policy_engine
+
+    @policy_engine.setter
+    def policy_engine(self, engine: PolicyHook | None) -> None:
+        plan_memo.invalidate()
+        self._policy_engine = engine
+
+    @property
+    def hooks(self) -> ApplicationHooks:
+        """Callbacks into the node's application firmware."""
+        return self._hooks
+
+    @hooks.setter
+    def hooks(self, hooks: ApplicationHooks) -> None:
+        plan_memo.invalidate()
+        self._hooks = hooks
 
     @property
     def bus(self) -> "CANBus | None":
@@ -169,6 +197,7 @@ class CANNode:
         and the controller/transceiver run state all clear; wiring
         (bus attachment, policy engine, hooks, inbox limit) is kept.
         """
+        plan_memo.flush_all()
         self.counters = NodeCounters()
         self.inbox.clear()
         del self._received_id_log[:]
@@ -246,12 +275,13 @@ class CANNode:
                 TraceEventKind.BLOCKED_WRITE_FILTER,
                 "software transmit filter",
             )
-            if self.hooks.on_send_blocked is not None:
-                self.hooks.on_send_blocked(frame, "software-filter")
+            if self._hooks.on_send_blocked is not None:
+                self._hooks.on_send_blocked(frame, "software-filter")
             return False
 
         # 2. Policy engine write filter (below firmware; survives compromise).
-        if self.policy_engine is not None and not self.policy_engine.permit_write(frame):
+        engine = self._policy_engine
+        if engine is not None and not engine.permit_write(frame):
             self.counters.send_blocked_by_policy += 1
             bus.record_block(
                 frame,
@@ -259,8 +289,8 @@ class CANNode:
                 TraceEventKind.BLOCKED_WRITE_POLICY,
                 "policy engine write filter",
             )
-            if self.hooks.on_send_blocked is not None:
-                self.hooks.on_send_blocked(frame, "policy-engine")
+            if self._hooks.on_send_blocked is not None:
+                self._hooks.on_send_blocked(frame, "policy-engine")
             return False
 
         # 3. Onto the wire (transceiver inlined: one counter and the
@@ -277,44 +307,50 @@ class CANNode:
     def wire_receive(self, frame: CANFrame) -> bool:
         """Handle a frame arriving from the bus.
 
-        Returns ``True`` when the frame reached the application.
+        The one implementation of the receive path: the bus delivers
+        through it directly, or replays the verdicts it produced from a
+        delivery plan (see :mod:`repro.can.bus`).  Returns ``True`` when
+        the frame reached the application.
         """
-        if self._bus is None:
+        bus = self._bus
+        if bus is None:
             return False
+        hooks = self._hooks
 
         # 1. Policy engine read filter (below firmware).
-        if self.policy_engine is not None and not self.policy_engine.permit_read(frame):
+        engine = self._policy_engine
+        if engine is not None and not engine.permit_read(frame):
             self.counters.receive_blocked_by_policy += 1
-            self._bus.record_block(
+            bus.record_block(
                 frame,
                 self.name,
                 TraceEventKind.BLOCKED_READ_POLICY,
                 "policy engine read filter",
             )
-            if self.hooks.on_receive_blocked is not None:
-                self.hooks.on_receive_blocked(frame, "policy-engine")
+            if hooks.on_receive_blocked is not None:
+                hooks.on_receive_blocked(frame, "policy-engine")
             return False
 
         # 2. Software acceptance filter (firmware-level; bypassed when compromised).
         if not self.controller.check_receive(frame):
             self.counters.receive_blocked_by_filter += 1
-            self._bus.record_block(
+            bus.record_block(
                 frame,
                 self.name,
                 TraceEventKind.BLOCKED_READ_FILTER,
                 "software acceptance filter",
             )
-            if self.hooks.on_receive_blocked is not None:
-                self.hooks.on_receive_blocked(frame, "software-filter")
+            if hooks.on_receive_blocked is not None:
+                hooks.on_receive_blocked(frame, "software-filter")
             return False
 
         # 3. Up to the application.
         self.counters.received += 1
         self.inbox.append(frame)
         self._received_id_log.append(frame.can_id)
-        self._bus.record_delivery(frame, self.name)
-        if self.hooks.on_receive is not None:
-            self.hooks.on_receive(frame)
+        bus.record_delivery(frame, self.name)
+        if hooks.on_receive is not None:
+            hooks.on_receive(frame)
         return True
 
     # -- convenience -----------------------------------------------------------------------
@@ -344,5 +380,5 @@ class CANNode:
         del self._received_id_log[:]
 
     def __str__(self) -> str:
-        policy = type(self.policy_engine).__name__ if self.policy_engine else "none"
+        policy = type(self._policy_engine).__name__ if self._policy_engine else "none"
         return f"CANNode({self.name}, policy={policy}, compromised={self._firmware_compromised})"

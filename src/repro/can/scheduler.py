@@ -22,6 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.can.plans import flush_all
+
 
 @dataclass(frozen=True, order=True)
 class Event:
@@ -238,25 +240,32 @@ class EventScheduler:
         max_events:
             Safety bound on the number of events to execute.
 
-        Returns the number of events executed by this call.
+        Returns the number of events executed by this call.  Buses that
+        deliver from plans flush their tallies before it returns, so
+        every counter is exact between calls.
         """
         executed = 0
         queue = self._queue
         cancelled = self._cancelled
-        while queue:
-            entry = queue[0]
-            if until is not None and entry[0] > until:
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            heapq.heappop(queue)
-            if cancelled and entry[1] in cancelled:
-                cancelled.discard(entry[1])
-                continue
-            self._now = entry[0]
-            entry[2]()
-            executed += 1
-            self._processed += 1
+        try:
+            while queue:
+                entry = queue[0]
+                if until is not None and entry[0] > until:
+                    break
+                if max_events is not None and executed >= max_events:
+                    break
+                heapq.heappop(queue)
+                if cancelled and entry[1] in cancelled:
+                    cancelled.discard(entry[1])
+                    continue
+                self._now = entry[0]
+                entry[2]()
+                executed += 1
+                self._processed += 1
+        finally:
+            # Buses deliver from plans with deferred counters: every
+            # counter is exact again when control returns.
+            flush_all()
         if until is not None and (not queue or queue[0][0] > until):
             # Advance the clock to the horizon even if no event lands exactly on it.
             self._now = max(self._now, until)
@@ -275,7 +284,10 @@ class EventScheduler:
                 cancelled.discard(sequence)
                 continue
             self._now = time
-            callback()
+            try:
+                callback()
+            finally:
+                flush_all()
             self._processed += 1
             return True
         return False

@@ -30,7 +30,10 @@ exactly across all three levels.  :meth:`BusTrace.count`,
 :meth:`~BusTrace.policy_block_count` and ``len(trace)`` read the per-kind
 table in O(kinds); :meth:`~BusTrace.count_for_node` and
 :meth:`~BusTrace.count_for_frame_id` sum over the keyed table (the
-fleet layer calls only the latter, once per flood attack).
+fleet layer calls only the latter, once per flood attack).  A bus that
+delivers frames from plans (:mod:`repro.can.bus`) adds its pending
+tallies to both tables before any count query runs and before a new
+kind is recorded, so counts and first-occurrence order stay exact.
 Record-returning queries (:meth:`~BusTrace.of_kind`, ...) see only the
 retained window.
 """
@@ -148,12 +151,13 @@ class BusTrace:
             self._records = None
         # Both tables key on TraceEventKind *values* (strings): string
         # hashes are cached C-level, enum hashing is a Python call -- a
-        # 2x difference on the record() fast path.  The fused delivery
-        # loop in CANBus._complete_transmission updates them inline with
-        # the same arithmetic as record(); a change here must be
-        # mirrored there.
+        # 2x difference on the record() fast path.  A bus's delivery
+        # plans add to them on flush (CANBus._flush).
         self._kind_counts: dict[str, int] = {}
         self._counts: dict[tuple[str, str, int], int] = {}
+        #: The owning bus's flush: pending plan tallies land in both
+        #: tables before any count is read or a new kind is added.
+        self._flush_owner: Callable[[], None] | None = None
 
     def record(
         self,
@@ -170,7 +174,13 @@ class BusTrace:
         """
         value = kind._value_  # bypass the DynamicClassAttribute property
         kind_counts = self._kind_counts
-        kind_counts[value] = kind_counts.get(value, 0) + 1
+        count = kind_counts.get(value)
+        if count is None:
+            # A new kind: pending tallies go first, so the per-kind
+            # table keeps first-occurrence order.
+            self._settle()
+            count = kind_counts.get(value, 0)
+        kind_counts[value] = count + 1
         key = (value, node, frame.can_id)
         counts = self._counts
         counts[key] = counts.get(key, 0) + 1
@@ -180,10 +190,16 @@ class BusTrace:
         self._records.append(entry)
         return entry
 
+    def _settle(self) -> None:
+        """Bring both count tables up to date with the owning bus."""
+        if self._flush_owner is not None:
+            self._flush_owner()
+
     # -- collection protocol ---------------------------------------------------
 
     def __len__(self) -> int:
         """Total events ever recorded (identical across retention levels)."""
+        self._settle()
         return sum(self._kind_counts.values())
 
     def __iter__(self) -> Iterator[TraceRecord]:
@@ -202,6 +218,7 @@ class BusTrace:
 
     def clear(self) -> None:
         """Drop all records and empty both count tables."""
+        self._settle()
         if self._records is not None:
             self._records.clear()
         self._kind_counts.clear()
@@ -211,15 +228,18 @@ class BusTrace:
 
     def count(self, kind: TraceEventKind) -> int:
         """Number of events of the given kind over the whole run."""
+        self._settle()
         return self._kind_counts.get(kind.value, 0)
 
     def blocked_count(self) -> int:
         """Events where a frame was blocked by a filter or policy."""
+        self._settle()
         counts = self._kind_counts
         return sum(counts.get(value, 0) for value in _BLOCKED_VALUES)
 
     def policy_block_count(self) -> int:
         """Frames blocked by a *policy engine* (either direction)."""
+        self._settle()
         counts = self._kind_counts
         return counts.get(TraceEventKind.BLOCKED_READ_POLICY.value, 0) + counts.get(
             TraceEventKind.BLOCKED_WRITE_POLICY.value, 0
@@ -227,6 +247,7 @@ class BusTrace:
 
     def filter_block_count(self) -> int:
         """Frames blocked by a *software filter* (either direction)."""
+        self._settle()
         counts = self._kind_counts
         return counts.get(TraceEventKind.BLOCKED_READ_FILTER.value, 0) + counts.get(
             TraceEventKind.BLOCKED_WRITE_FILTER.value, 0
@@ -234,6 +255,7 @@ class BusTrace:
 
     def count_for_node(self, node: str, kind: TraceEventKind | None = None) -> int:
         """Events attributed to *node*, optionally restricted to one kind."""
+        self._settle()
         value = None if kind is None else kind.value
         return sum(
             count
@@ -243,6 +265,7 @@ class BusTrace:
 
     def count_for_frame_id(self, can_id: int, kind: TraceEventKind | None = None) -> int:
         """Events concerning frames with *can_id*, optionally of one kind."""
+        self._settle()
         value = None if kind is None else kind.value
         return sum(
             count
@@ -256,6 +279,7 @@ class BusTrace:
         Keys appear in first-occurrence order, exactly as a scan over a
         FULL record list would produce.
         """
+        self._settle()
         return dict(self._kind_counts)
 
     # -- record queries (retained window only) ----------------------------------
@@ -308,6 +332,7 @@ class BusTrace:
         runner calls this once per simulated vehicle when telemetry is
         enabled; it reads the tables only and cannot perturb the trace.
         """
+        self._settle()
         for kind_value, count in self._kind_counts.items():
             registry.inc(prefix + kind_value, count)
         registry.inc("bus.events_total", len(self))
@@ -323,6 +348,8 @@ class BusTrace:
         trace cover both full runs even if a source trace retained fewer
         records.
         """
+        self._settle()
+        other._settle()
         merged = BusTrace()
         decorated = [(r.time, 0, i, r) for i, r in enumerate(self)]
         decorated += [(r.time, 1, i, r) for i, r in enumerate(other)]

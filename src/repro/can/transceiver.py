@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.can import plans as plan_memo
 from repro.can.errors import NodeDetachedError
 from repro.can.frame import CANFrame
 
@@ -58,7 +59,8 @@ class CANTransceiver:
 
     def reset_for_reuse(self) -> None:
         """Restore just-built state: counters to zero, standby cleared."""
-        self._enabled = True
+        plan_memo.flush_all()
+        self.enable()
         self.frames_sent = 0
         self.frames_received = 0
 
@@ -71,11 +73,15 @@ class CANTransceiver:
 
     def enable(self) -> None:
         """Leave standby."""
-        self._enabled = True
+        if not self._enabled:
+            plan_memo.invalidate()
+            self._enabled = True
 
     def standby(self) -> None:
         """Enter standby: no frames are sent or received."""
-        self._enabled = False
+        if self._enabled:
+            plan_memo.invalidate()
+            self._enabled = False
 
     # -- data path -------------------------------------------------------------------
 

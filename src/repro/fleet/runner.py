@@ -321,6 +321,8 @@ def simulate_vehicle(
         observe_phase(registry, "simulate.vehicle", wall_seconds)
         observe_phase(registry, "simulate.build", build_seconds)
         car.bus.trace.export_metrics(registry)
+        registry.inc("can.plans.built", car.bus.plans_built)
+        registry.inc("can.plans.hit", car.bus.plans_hit)
     return VehicleOutcome(
         vehicle_id=spec.vehicle_id,
         scenario=spec.scenario,

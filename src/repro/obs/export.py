@@ -249,6 +249,13 @@ def write_snapshot(
     Path(path).write_text(text, encoding="utf-8")
 
 
+#: Hit ratios the table derives from counter pairs: (label, hits, misses).
+HIT_RATIOS = (
+    ("can.plans.hit_ratio", "can.plans.hit", "can.plans.built"),
+    ("pool.reuse_ratio", "pool.reuses", "pool.builds"),
+)
+
+
 def format_snapshot(snapshot: MetricsSnapshot) -> str:
     """A human-readable table (the ``repro metrics show`` rendering)."""
     lines: list[str] = []
@@ -257,6 +264,17 @@ def format_snapshot(snapshot: MetricsSnapshot) -> str:
         width = max(len(name) for name, _ in snapshot.counters)
         for name, value in snapshot.counters:
             lines.append(f"  {name:<{width}}  {value}")
+    counters = dict(snapshot.counters)
+    ratios = [
+        (label, counters[hits], counters[hits] + counters[misses])
+        for label, hits, misses in HIT_RATIOS
+        if hits in counters and misses in counters and counters[hits] + counters[misses]
+    ]
+    if ratios:
+        lines.append("ratios:")
+        width = max(len(label) for label, _, _ in ratios)
+        for label, hits, total in ratios:
+            lines.append(f"  {label:<{width}}  {hits / total:.4f}  ({hits}/{total})")
     if snapshot.gauges:
         lines.append("gauges:")
         width = max(len(name) for name, _ in snapshot.gauges)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only in dependency_graph()
+    import networkx as nx
 
 
 class Criticality(Enum):
@@ -99,7 +100,10 @@ class AssetRegistry:
 
     def __init__(self, assets: Iterable[Asset] = ()) -> None:
         self._assets: dict[str, Asset] = {}
-        self._graph = nx.DiGraph()
+        #: Adjacency maps in edge-insertion order: asset -> the assets
+        #: it depends on, and asset -> the assets depending on it.
+        self._successors: dict[str, dict[str, None]] = {}
+        self._predecessors: dict[str, dict[str, None]] = {}
         for asset in assets:
             self.add(asset)
 
@@ -128,7 +132,8 @@ class AssetRegistry:
                 )
             return existing
         self._assets[asset.name] = asset
-        self._graph.add_node(asset.name)
+        self._successors[asset.name] = {}
+        self._predecessors[asset.name] = {}
         return asset
 
     def add_dependency(self, dependent: str, dependency: str) -> None:
@@ -141,12 +146,12 @@ class AssetRegistry:
         self._require(dependency)
         if dependent == dependency:
             raise ValueError("an asset cannot depend on itself")
-        self._graph.add_edge(dependent, dependency)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(dependent, dependency)
+        if dependent in self._reachable(dependency):
             raise ValueError(
                 f"dependency {dependent!r} -> {dependency!r} would create a cycle"
             )
+        self._successors[dependent][dependency] = None
+        self._predecessors[dependency][dependent] = None
 
     # -- queries --------------------------------------------------------------
 
@@ -169,17 +174,17 @@ class AssetRegistry:
     def dependencies_of(self, name: str) -> list[Asset]:
         """Assets that *name* directly depends on."""
         self._require(name)
-        return [self._assets[n] for n in self._graph.successors(name)]
+        return [self._assets[n] for n in self._successors[name]]
 
     def dependents_of(self, name: str) -> list[Asset]:
         """Assets that directly depend on *name*."""
         self._require(name)
-        return [self._assets[n] for n in self._graph.predecessors(name)]
+        return [self._assets[n] for n in self._predecessors[name]]
 
     def transitive_dependencies(self, name: str) -> list[Asset]:
         """All assets that *name* transitively depends on."""
         self._require(name)
-        reachable = nx.descendants(self._graph, name)
+        reachable = self._reachable(name) - {name}
         return [self._assets[n] for n in sorted(reachable)]
 
     def impact_set(self, name: str) -> list[Asset]:
@@ -189,14 +194,37 @@ class AssetRegistry:
         on the compromised asset, directly or indirectly.
         """
         self._require(name)
-        affected = nx.ancestors(self._graph, name)
+        affected = self._reachable(name, self._predecessors) - {name}
         return [self._assets[n] for n in sorted(affected)]
 
-    def dependency_graph(self) -> nx.DiGraph:
-        """A copy of the underlying dependency graph (node = asset name)."""
-        return self._graph.copy()
+    def dependency_graph(self) -> "nx.DiGraph":
+        """The dependency graph as a networkx ``DiGraph`` (node = asset name)."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._assets)
+        graph.add_edges_from(
+            (dependent, dependency)
+            for dependent, dependencies in self._successors.items()
+            for dependency in dependencies
+        )
+        return graph
 
     # -- internals ------------------------------------------------------------
+
+    def _reachable(
+        self, start: str, edges: dict[str, dict[str, None]] | None = None
+    ) -> set[str]:
+        """*start* and every asset reachable from it along *edges*."""
+        edges = self._successors if edges is None else edges
+        seen = {start}
+        stack = [start]
+        while stack:
+            for neighbour in edges[stack.pop()]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+        return seen
 
     def _require(self, name: str) -> Asset:
         try:

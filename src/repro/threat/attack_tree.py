@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 
 class NodeType(Enum):
     """How a node's children combine."""
@@ -73,6 +71,8 @@ class AttackTree:
         if root.node_type == NodeType.LEAF:
             # A single-action attack is allowed: the root is its own leaf.
             pass
+        import networkx as nx  # loaded on first use: not needed by fleet runs
+
         self._graph = nx.DiGraph()
         self._nodes: dict[str, AttackTreeNode] = {}
         self._root = root
@@ -89,6 +89,8 @@ class AttackTree:
 
     def add_child(self, parent: str, child: AttackTreeNode) -> AttackTreeNode:
         """Attach *child* under the node named *parent*."""
+        import networkx as nx
+
         if parent not in self._nodes:
             raise KeyError(f"unknown parent node: {parent!r}")
         parent_node = self._nodes[parent]

@@ -90,8 +90,8 @@ class VehicleECU:
             for can_id in tx_ids:
                 self.node.controller.tx_filters.add_exact(can_id)
         # Pre-compile both banks' acceptance bitsets: catalogue filters
-        # never change after construction, and the fused fleet data path
-        # probes the compiled masks instead of scanning match buckets.
+        # never change after construction, the transmit path probes the
+        # compiled mask, and delivery plans key on the receive bitset.
         self.node.controller.rx_filters.compile_mask()
         self.node.controller.tx_filters.compile_mask()
 

@@ -2,19 +2,22 @@
 
 Covers the trace retention levels (FULL / RING / COUNTERS counter
 equivalence, and every count query against a recount of the FULL
-trace's records), heap-vs-sort arbitration order equivalence, the slimmed
-scheduler, bounded inbox retention, the ``detach`` back-reference
-regression and the deterministic ``BusTrace.merge`` tie-break.
+trace's records), delivery plans against the unplanned receive path,
+heap-vs-sort arbitration order equivalence, the slimmed scheduler,
+bounded inbox retention, the ``detach`` regressions and the
+deterministic ``BusTrace.merge`` tie-break.
 """
 
 import heapq
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExperimentConfig, FleetSession
 from repro.attacks.attacker import MaliciousNode
+from repro.can import plans as plan_memo
 from repro.can.bus import CANBus
 from repro.can.errors import NodeDetachedError
 from repro.can.frame import MAX_STANDARD_ID, CANFrame
@@ -23,6 +26,7 @@ from repro.can.scheduler import Event, EventScheduler
 from repro.can.trace import BLOCKED_KINDS, BusTrace, TraceEventKind, TraceLevel
 from repro.core.enforcement import EnforcementConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.vehicle.modes import CarMode
 
 
 def build_bus(trace_level=TraceLevel.FULL, *names, inbox_limit=None):
@@ -165,7 +169,7 @@ _EVENTS = st.lists(
 #: (sender, can_id) pairs for the bus-level property: ECU senders are
 #: policed on write, the rogue node only by the receivers' read side;
 #: ids cover catalogue messages, an unknown standard id, the top
-#: standard id and one extended id (which leaves the fused loop).
+#: standard id and one extended id (which is never planned).
 _SENDERS = ["Rogue", "EV-ECU", "Sensors", "Telematics", "Safety"]
 _IDS = [0x010, 0x020, 0x050, 0x060, 0x080, 0x0A0, 0x0B0, 0x321, 0x7FF, 0x1ABCDE]
 _FRAMES = st.lists(
@@ -225,6 +229,308 @@ class TestCountsEqualARecount:
                     TraceEventKind.BLOCKED_READ_POLICY,
                     TraceEventKind.BLOCKED_WRITE_POLICY,
                 } <= kinds
+
+
+def _bus_state(car, hook_log):
+    """Everything observable about a car's bus, for plan-vs-unplanned checks."""
+    bus = car.bus
+    trace = bus.trace
+    kinds = [None, *TraceEventKind]
+    names = [*bus.node_names(), "Rogue", ""]
+    can_ids = sorted(set(_IDS) | {0x0A0, 0x70})
+    nodes = []
+    for node in bus.nodes:
+        controller, transceiver = node.controller, node.transceiver
+        blocks = []
+        engine = node.policy_engine
+        if engine is not None:
+            for block in (engine.read_filter.decision_block, engine.write_filter.decision_block):
+                blocks.append(
+                    (block.decisions_made, block.grants, block.blocks, block.total_latency_s.hex())
+                )
+        nodes.append(
+            (
+                node.name,
+                astuple(node.counters),
+                controller.frames_accepted,
+                controller.frames_rejected,
+                controller.frames_transmitted,
+                controller.tx_error_counter,
+                controller.rx_error_counter,
+                transceiver.frames_sent,
+                transceiver.frames_received,
+                transceiver.enabled,
+                node.received_ids(),
+                [(f.can_id, f.data, f.source) for f in node.inbox],
+                blocks,
+            )
+        )
+    statistics = bus.statistics
+    return {
+        "summary": list(trace.summary().items()),
+        "len": len(trace),
+        "blocked": (
+            trace.blocked_count(),
+            trace.policy_block_count(),
+            trace.filter_block_count(),
+        ),
+        "count": [trace.count(kind) for kind in TraceEventKind],
+        "per_node": [trace.count_for_node(n, k) for n in names for k in kinds],
+        "per_id": [trace.count_for_frame_id(i, k) for i in can_ids for k in kinds],
+        "statistics": (
+            statistics.frames_submitted,
+            statistics.frames_transmitted,
+            statistics.frames_delivered,
+            statistics.arbitration_conflicts,
+            statistics.busy_time.hex(),
+        ),
+        "nodes": nodes,
+        "hooks": list(hook_log),
+    }
+
+
+def _record_hooks(car, hook_log):
+    """Log every application hook call (and keep each ECU's own handler)."""
+    for node in car.bus.nodes:
+        original = node.hooks.on_receive
+
+        def on_receive(frame, name=node.name, original=original):
+            hook_log.append((name, "rx", frame.can_id))
+            if original is not None:
+                original(frame)
+
+        node.hooks.on_receive = on_receive
+    # One blocked-frame hook, so plans also carry blocked receivers.
+    car.bus.node("Telematics").hooks.on_receive_blocked = (
+        lambda frame, reason: hook_log.append(("Telematics", reason, frame.can_id))
+    )
+
+
+#: Mutations applied between runs of the plan property.
+_MUTATIONS = st.sampled_from(
+    [
+        ("compromise", "EV-ECU"),
+        ("compromise", "DoorLocks"),
+        ("restore", "EV-ECU"),
+        ("restore", "DoorLocks"),
+        ("standby", "Safety"),
+        ("standby", "Infotainment"),
+        ("enable", "Safety"),
+        ("enable", "Infotainment"),
+        ("mode", CarMode.FAIL_SAFE),
+        ("mode", CarMode.REMOTE_DIAGNOSTIC),
+        ("mode", CarMode.NORMAL),
+        ("alarm", True),
+        ("alarm", False),
+        ("attach", "Rogue"),
+        ("detach", "Rogue"),
+        ("rx_errors", "EV-ECU"),
+        ("rx_errors", "Infotainment"),
+    ]
+)
+
+
+def _mutate(car, mutation):
+    operation, argument = mutation
+    bus = car.bus
+    if operation == "compromise":
+        car.ecu(argument).compromise_firmware()
+    elif operation == "restore":
+        car.ecu(argument).restore_firmware()
+    elif operation == "standby":
+        bus.node(argument).transceiver.standby()
+    elif operation == "enable":
+        bus.node(argument).transceiver.enable()
+    elif operation == "mode":
+        if car.modes.can_transition(argument):
+            car.modes.transition(argument)  # the coordinator re-syncs
+    elif operation == "alarm":
+        car.safety.alarm_armed = argument
+        car.sync_enforcement()
+    elif operation == "rx_errors":
+        for _ in range(3):  # deliveries count the receive-error counter down
+            bus.node(argument).controller.record_rx_error()
+    elif operation == "attach":
+        if argument not in bus.node_names():
+            MaliciousNode(car, name=argument)
+    elif argument in bus.node_names():
+        bus.detach(argument)
+
+
+def _play(car, script, hook_log, states):
+    """Run *script*: frame batches (each followed by a run) and mutations."""
+    for step in script:
+        if isinstance(step, list):
+            for sender, can_id in step:
+                if sender in car.bus.node_names():
+                    frame = CANFrame(
+                        can_id=can_id, data=b"\x01", extended=can_id > MAX_STANDARD_ID
+                    )
+                    car.bus.node(sender).send(frame)
+            car.run(0.02)
+            states.append(_bus_state(car, hook_log))
+        else:
+            _mutate(car, step)
+    car.run(0.02)
+    states.append(_bus_state(car, hook_log))
+
+
+def _plan_script(builder, level, config, script):
+    """Play *script* twice, reset the car (pooled reuse), play it again."""
+    car = builder.build_car(config, start_periodic_traffic=True, trace_level=level)
+    hook_log = []
+    _record_hooks(car, hook_log)
+    MaliciousNode(car, name="Rogue")
+    states = []
+    for _ in range(2):
+        _play(car, script, hook_log, states)
+    hits = car.bus.plans_hit
+    car.reset()  # the plan memo outlives the reset
+    MaliciousNode(car, name="Rogue")
+    _play(car, script, hook_log, states)
+    return hits + car.bus.plans_hit, states
+
+
+class TestDeliveryPlans:
+    """Frames delivered from plans leave exactly the unplanned path's state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        engine=st.sampled_from(["compiled", "unprotected"]),
+        script=st.lists(
+            st.one_of(
+                st.lists(
+                    st.tuples(st.sampled_from(_SENDERS), st.sampled_from(_IDS)), max_size=6
+                ),
+                _MUTATIONS,
+            ),
+            max_size=10,
+        ),
+    )
+    def test_plans_match_the_unplanned_path(self, builder, engine, script):
+        config = _CAR_CONFIGS[engine]
+        _, reference = _plan_script(builder, TraceLevel.FULL, config, script)
+        hits, planned = _plan_script(builder, TraceLevel.COUNTERS, config, script)
+        assert planned == reference
+        # Periodic traffic repeats, so the planned car really ran on plans.
+        assert hits > 0
+
+    def test_full_and_ring_traces_never_plan(self, builder):
+        for level in (TraceLevel.FULL, TraceLevel.RING):
+            car = builder.build_car(
+                EnforcementConfig.full(), start_periodic_traffic=True, trace_level=level
+            )
+            car.run(0.05)
+            assert car.bus.plans_built == car.bus.plans_hit == 0
+
+    def _hooked_frames(self, builder, level, config, sender, can_id, action):
+        """Send *can_id* three times; EV-ECU's hook runs *action* on the second."""
+        car = builder.build_car(config, trace_level=level)
+        hook_log = []
+        _record_hooks(car, hook_log)
+        MaliciousNode(car, name="Rogue")
+        seen = []
+        ev_ecu = car.bus.node("EV-ECU")
+        original = ev_ecu.hooks.on_receive
+
+        def on_receive(frame):
+            original(frame)
+            if frame.can_id == can_id:
+                seen.append(frame)
+                if len(seen) == 2:
+                    action(car)
+
+        ev_ecu.hooks.on_receive = on_receive
+        for _ in range(3):
+            car.bus.node(sender).send(CANFrame(can_id=can_id, data=b"\x01"))
+            car.bus.run_until_idle()
+        return car, _bus_state(car, hook_log)
+
+    def test_a_hook_compromising_a_later_receiver_mid_frame(self, builder):
+        # DoorLocks (attached after EV-ECU) filters 0x0A0 until compromised.
+        def compromise(car):
+            car.ecu("DoorLocks").compromise_firmware()
+
+        _, reference = self._hooked_frames(
+            builder, TraceLevel.FULL, None, "Rogue", 0x0A0, compromise
+        )
+        car, planned = self._hooked_frames(
+            builder, TraceLevel.COUNTERS, None, "Rogue", 0x0A0, compromise
+        )
+        assert planned == reference
+        # The second frame already reaches the now-compromised DoorLocks.
+        assert car.bus.node("DoorLocks").received_ids() == [0x0A0, 0x0A0]
+        assert car.bus.plans_hit >= 1
+
+    def test_a_hook_syncing_policy_mid_frame(self, builder):
+        # Arming the alarm revokes DoorLocks' read grant for 0x070.
+        def arm_alarm(car):
+            car.safety.alarm_armed = True
+            car.sync_enforcement()
+
+        config = EnforcementConfig.full()
+        _, reference = self._hooked_frames(
+            builder, TraceLevel.FULL, config, "Rogue", 0x070, arm_alarm
+        )
+        car, planned = self._hooked_frames(
+            builder, TraceLevel.COUNTERS, config, "Rogue", 0x070, arm_alarm
+        )
+        assert planned == reference
+        door_locks = car.bus.node("DoorLocks")
+        assert door_locks.received_ids() == [0x070]
+        assert door_locks.counters.receive_blocked_by_policy == 2
+        assert car.bus.plans_hit >= 1
+
+    def test_a_trace_query_inside_a_hook_is_exact(self, builder):
+        counts = {}
+
+        def query(car):
+            counts[car.bus.trace.level] = (
+                car.bus.trace.summary(),
+                car.bus.trace.count_for_node("EV-ECU"),
+                car.bus.trace.count_for_frame_id(0x070),
+            )
+
+        states = {}
+        for level in (TraceLevel.FULL, TraceLevel.COUNTERS):
+            _, states[level] = self._hooked_frames(
+                builder, level, EnforcementConfig.full(), "Rogue", 0x070, query
+            )
+        assert counts[TraceLevel.COUNTERS] == counts[TraceLevel.FULL]
+        assert states[TraceLevel.COUNTERS] == states[TraceLevel.FULL]
+
+    def test_blocked_hook_assigned_after_plans_exist(self, builder):
+        states = {}
+        for level in (TraceLevel.FULL, TraceLevel.COUNTERS):
+            car = builder.build_car(
+                EnforcementConfig.full(), start_periodic_traffic=True, trace_level=level
+            )
+            hook_log = []
+            car.run(0.05)
+            for name in ("EPS", "Gateway"):
+                car.bus.node(name).hooks.on_receive_blocked = (
+                    lambda frame, reason, name=name: hook_log.append((name, reason, frame.can_id))
+                )
+            car.run(0.05)
+            car.bus.node("EPS").hooks.on_receive_blocked = None
+            car.run(0.05)
+            states[level] = _bus_state(car, hook_log)
+            assert hook_log
+        assert states[TraceLevel.COUNTERS] == states[TraceLevel.FULL]
+
+    def test_cold_and_warm_memo_give_one_fingerprint(self):
+        config = ExperimentConfig(scenario="fleet_replay_storm", vehicles=12, seed=7, workers=1)
+        runs = []
+        plan_memo.clear()
+        for _ in range(2):
+            with FleetSession(config, telemetry=True) as session:
+                fingerprint = session.run().fingerprint()
+                runs.append((fingerprint, session.metrics_snapshot()))
+        (cold, cold_metrics), (warm, warm_metrics) = runs
+        assert cold == warm
+        assert cold_metrics.counter("can.plans.built") > 0
+        assert warm_metrics.counter("can.plans.built") == 0
+        assert warm_metrics.counter("can.plans.hit") > cold_metrics.counter("can.plans.hit")
 
 
 class TestMergeTieBreak:
@@ -308,6 +614,27 @@ class TestDetachRegression:
         bus.detach("a")
         bus.attach(nodes["a"])
         assert nodes["a"].send(CANFrame(can_id=0x10))
+        bus.run_until_idle()
+        assert nodes["b"].received_ids() == [0x10]
+
+    @pytest.mark.parametrize("level", [TraceLevel.FULL, TraceLevel.COUNTERS])
+    def test_detach_drops_the_nodes_queued_frames(self, level):
+        bus, nodes = build_bus(level, "a", "b", "c")
+        assert nodes["b"].send(CANFrame(can_id=0x100))  # occupies the bus
+        assert nodes["a"].send(CANFrame(can_id=0x10))
+        assert nodes["a"].send(CANFrame(can_id=0x11))
+        bus.detach("a")
+        bus.run_until_idle()
+        assert bus.statistics.frames_transmitted == 1
+        assert nodes["c"].received_ids() == [0x100]
+        assert bus.trace.count(TraceEventKind.TRANSMITTED) == 1
+        assert bus.trace.count_for_node("a", TraceEventKind.TRANSMITTED) == 0
+
+    def test_detach_lets_the_frame_on_the_wire_complete(self):
+        bus, nodes = build_bus(TraceLevel.FULL, "a", "b")
+        assert nodes["a"].send(CANFrame(can_id=0x10))  # on the wire
+        assert nodes["a"].send(CANFrame(can_id=0x11))  # queued
+        bus.detach("a")
         bus.run_until_idle()
         assert nodes["b"].received_ids() == [0x10]
 

@@ -1,7 +1,7 @@
 """Compiled decision tables: bit-identical to the object decision path.
 
 The compiled fast path (``core/compiled.py`` + the HPE bitmask probe +
-the fused bus delivery loop) is only admissible because its decisions
+the bus's delivery plans) is only admissible because its decisions
 are provably identical to the authoritative approved-list object path.
 These tests prove it three ways:
 

@@ -233,7 +233,17 @@ class TestExposition:
         text = format_snapshot(self._snapshot())
         assert "pool.builds" in text
         assert "p95<=" in text
+        assert "ratios:" not in text  # no reuses counted: no ratio to show
         assert format_snapshot(MetricsSnapshot()) == "(empty snapshot)\n"
+
+    def test_format_snapshot_hit_ratios(self):
+        reg = MetricsRegistry()
+        reg.inc("can.plans.built", 1)
+        reg.inc("can.plans.hit", 3)
+        text = format_snapshot(reg.snapshot())
+        assert "ratios:" in text
+        assert "can.plans.hit_ratio  0.7500  (3/4)" in text
+        assert "pool.reuse_ratio" not in text
 
     def test_histogram_quantile(self):
         hist = HistogramSnapshot(

@@ -15,7 +15,7 @@ from repro.api.cli import main as cli_main
 from repro.api.config import ExperimentConfig
 from repro.api.session import FleetSession
 from repro.obs import metrics as obs_metrics
-from repro.obs.export import MetricsSnapshot
+from repro.obs.export import MetricsSnapshot, format_snapshot
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -114,6 +114,14 @@ class TestInlinePhases:
     def test_bus_counters(self, snapshot):
         assert snapshot.counter("bus.events_total") > 0
         assert snapshot.counter("bus.events.delivered") > 0
+
+    def test_delivery_plan_counters(self, snapshot):
+        # A warm process memo may build no plan at all, but pooled cars
+        # replay periodic traffic: most frames are delivered from plans.
+        hits = snapshot.counter("can.plans.hit")
+        assert hits > snapshot.counter("can.plans.built")
+        assert hits <= snapshot.counter("bus.events.transmitted")
+        assert "can.plans.hit_ratio" in format_snapshot(snapshot)
 
 
 class TestWorkerMerge:

@@ -104,6 +104,50 @@ class TestAssetRegistry:
         graph.remove_edge("EV-ECU", "Sensors")
         assert [a.name for a in registry.dependencies_of("EV-ECU")] == ["Sensors"]
 
+    def test_longer_cycle_rejected_and_registry_unchanged(self):
+        registry = make_registry()
+        registry.add_dependency("Infotainment", "EV-ECU")
+        registry.add_dependency("EV-ECU", "Sensors")
+        with pytest.raises(ValueError, match="would create a cycle"):
+            registry.add_dependency("Sensors", "Infotainment")
+        assert registry.dependencies_of("Sensors") == []
+        assert registry.dependents_of("Infotainment") == []
+
+    def test_queries_agree_with_networkx(self):
+        import networkx as nx
+
+        registry = make_registry()
+        registry.add(Asset("Gateway"))
+        edges = [
+            ("Infotainment", "Gateway"),
+            ("Engine", "Sensors"),
+            ("Gateway", "EV-ECU"),
+            ("EV-ECU", "Sensors"),
+            ("Infotainment", "Engine"),
+            ("Gateway", "Engine"),
+        ]
+        reference = nx.DiGraph()
+        reference.add_nodes_from(registry.names())
+        for dependent, dependency in edges:
+            registry.add_dependency(dependent, dependency)
+            reference.add_edge(dependent, dependency)
+        graph = registry.dependency_graph()
+        assert list(graph.nodes) == list(reference.nodes)
+        assert list(graph.edges) == list(reference.edges)
+        for name in registry.names():
+            assert [a.name for a in registry.dependencies_of(name)] == list(
+                reference.successors(name)
+            )
+            assert [a.name for a in registry.dependents_of(name)] == list(
+                reference.predecessors(name)
+            )
+            assert [a.name for a in registry.transitive_dependencies(name)] == sorted(
+                nx.descendants(reference, name)
+            )
+            assert [a.name for a in registry.impact_set(name)] == sorted(
+                nx.ancestors(reference, name)
+            )
+
 
 class TestEntryPoint:
     def test_requires_name(self):
